@@ -14,6 +14,9 @@
      HEALER_BENCH_JOBS    worker domains for the campaign matrix
                           (default: Domain.recommended_domain_count)
 
+   Each must be a positive number when set; anything else stops the
+   bench with Invalid_argument before any section runs.
+
    The campaign matrix behind the requested sections is prefetched
    through a domain pool (Campaign.run_matrix); each campaign is a
    deterministic function of (tool, version, seed, hours), so stdout
@@ -28,15 +31,28 @@ module Syscall = Healer_syzlang.Syscall
 module K = Healer_kernel
 open Healer_core
 
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+(* A positive number from the environment, or [default] when unset;
+   anything else is rejected up front, like HEALER_BENCH_JOBS
+   (Campaign.default_jobs). *)
+let env_positive name ~what parse default =
+  match Sys.getenv_opt name with
+  | None -> default
+  | Some s -> (
+    match parse (String.trim s) with
+    | Some v -> v
+    | None -> invalid_arg (Printf.sprintf "%s must be a positive %s" name what))
 
-let env_float name default =
-  match Sys.getenv_opt name with Some s -> float_of_string s | None -> default
+let positive_int s =
+  match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
 
-let rounds = env_int "HEALER_BENCH_ROUNDS" 5
-let hours = env_float "HEALER_BENCH_HOURS" 24.0
-let ext_hours = env_float "HEALER_BENCH_EXT" 96.0
+let positive_float s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x && x > 0.0 -> Some x
+  | _ -> None
+
+let rounds = env_positive "HEALER_BENCH_ROUNDS" ~what:"integer" positive_int 5
+let hours = env_positive "HEALER_BENCH_HOURS" ~what:"number" positive_float 24.0
+let ext_hours = env_positive "HEALER_BENCH_EXT" ~what:"number" positive_float 96.0
 
 let versions = K.Version.evaluated
 let tools = Fuzzer.all_tools
@@ -1020,6 +1036,104 @@ let wire_micro () =
       micro_results :=
         !micro_results @ [ ("wire send+recv (512B frame)", ns) ])
 
+(* ---- generation hot path (cheap enough for every build) ---- *)
+
+let json_path = "BENCH_results.json"
+
+(* (programs, allocated words, buffer bytes and ns per program). *)
+let gen_stats : (int * float * float * float) option ref = ref None
+
+let gen_programs = 500
+
+let rec buffer_bytes (v : Healer_executor.Value.t) =
+  match v with
+  | Buf b -> Bytes.length b
+  | Ptr v -> buffer_bytes v
+  | Group vs -> List.fold_left (fun acc v -> acc + buffer_bytes v) 0 vs
+  | Int _ | Res_ref _ | Res_special _ | Str _ | Null | Vma _ -> 0
+
+(* Words per program in the committed snapshot at the repository root:
+   the working directory under `dune exec`, the parent of bench/ under
+   the @bench-smoke rule. *)
+let committed_gen_words () =
+  let module J = Healer_perf.Json in
+  let path =
+    if Filename.basename (Sys.getcwd ()) = "bench" then
+      Filename.concat Filename.parent_dir_name json_path
+    else json_path
+  in
+  if not (Sys.file_exists path) then None
+  else
+    let json = J.parse (In_channel.with_open_bin path In_channel.input_all) in
+    match Option.bind (J.member "gen" json) (J.member "words_per_program") with
+    | Some (J.Num w) -> Some w
+    | _ -> None
+
+(* Gen.generate from a fixed seed with a uniform select. Allocated
+   words (minor + major - promoted) and buffer bytes per program are
+   deterministic counts; the words row fails the section when it rises
+   more than 10% over the committed one. ns per program is the
+   min-of-batches wall clock, recorded but not gated. Validation is
+   off throughout, so the counts are the production path's whatever
+   HEALER_DEBUG_VALIDATE says. *)
+let gen_smoke () =
+  section "Program generation (Gen.generate)";
+  let target = K.Kernel.target () in
+  let batch () =
+    let rng = Healer_util.Rng.create 1 in
+    List.init gen_programs (fun _ ->
+        Gen.generate rng target
+          ~select:(fun ~sub:_ -> Healer_util.Rng.int rng (Target.n_syscalls target))
+          ())
+  in
+  let debug = Healer_executor.Progcheck.debug_enabled () in
+  Healer_executor.Progcheck.set_debug false;
+  Fun.protect
+    ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
+    (fun () ->
+      ignore (batch ());
+      let allocated () =
+        (* On OCaml 5 the minor figure of Gc.counters/quick_stat only
+           moves at collections; Gc.minor_words is exact anywhere. *)
+        let _, promoted, major = Gc.counters () in
+        Gc.minor_words () +. major -. promoted
+      in
+      let a0 = allocated () in
+      let progs = batch () in
+      let words = (allocated () -. a0) /. float_of_int gen_programs in
+      let bytes =
+        List.fold_left
+          (fun acc p ->
+            Array.fold_left
+              (fun acc (c : Healer_executor.Prog.call) ->
+                List.fold_left (fun acc v -> acc + buffer_bytes v) acc
+                  c.Healer_executor.Prog.args)
+              acc p.Healer_executor.Prog.calls)
+          0 progs
+      in
+      let bytes = float_of_int bytes /. float_of_int gen_programs in
+      let ns = ref infinity in
+      for _ = 1 to 5 do
+        let t0 = Unix.gettimeofday () in
+        ignore (batch ());
+        let dt = Unix.gettimeofday () -. t0 in
+        ns := Float.min !ns (dt *. 1e9 /. float_of_int gen_programs)
+      done;
+      Fmt.pr "  %-30s %12.0f@." "allocated words / program" words;
+      Fmt.pr "  %-30s %12.0f@." "buffer bytes / program" bytes;
+      Fmt.pr "  %-30s %12.0f@." "ns / program" !ns;
+      gen_stats := Some (gen_programs, words, bytes, !ns);
+      match committed_gen_words () with
+      | None -> Fmt.pr "  no committed words/program row: not gated@."
+      | Some base ->
+        Fmt.pr "  %-30s %12.0f (gate: +10%%)@." "committed words / program" base;
+        if words > base *. 1.10 then
+          failwith
+            (Printf.sprintf
+               "gen: %.0f allocated words per program, more than 10%% above \
+                the committed %.0f"
+               words base))
+
 (* ---- main ---- *)
 
 let sections =
@@ -1029,12 +1143,10 @@ let sections =
     ("ablation", ablation); ("micro", micro); ("cache", cache_smoke);
     ("lockdep", lockdep_smoke); ("effects", effects_smoke);
     ("compiled", compiled_smoke); ("shard", shard_smoke);
-    ("wire", wire_micro);
+    ("wire", wire_micro); ("gen", gen_smoke);
   ]
 
 (* ---- machine-readable results (--json) ---- *)
-
-let json_path = "BENCH_results.json"
 
 let write_json ~jobs ~section_times () =
   let buf = Buffer.create 1024 in
@@ -1107,6 +1219,13 @@ let write_json ~jobs ~section_times () =
       (float_of_int steady_full /. float_of_int (max 1 steady_incr))
       barrier_s async_s wire_ns wire_bytes
   | None -> field "\"shard_comms\": null");
+  (match !gen_stats with
+  | Some (programs, words, bytes, ns) ->
+    field
+      "\"gen\": {\"seed\": 1, \"programs\": %d, \"words_per_program\": %.1f, \
+       \"buffer_bytes_per_program\": %.1f, \"ns_per_program\": %.1f}"
+      programs words bytes ns
+  | None -> field "\"gen\": null");
   field ~last:true "%s"
     (obj_list "micro" !micro_results (fun (name, ns) ->
          Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f}" name ns));

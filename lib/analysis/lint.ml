@@ -80,14 +80,7 @@ let run input =
             ~subject:("union " ^ name)
             "not reachable from any call")
       (Target.union_names t);
-    let produced_somewhere kind =
-      Array.exists
-        (fun (c : Syscall.t) ->
-          List.exists
-            (fun r -> Target.compatible t ~consumer:kind ~producer:r)
-            (Target.produces t c))
-        (Target.syscalls t)
-    in
+    let produced_somewhere kind = Array.exists Fun.id (Target.producer_mask t kind) in
     List.iter
       (fun kind ->
         let consumed =

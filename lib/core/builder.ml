@@ -11,48 +11,32 @@ let max_prog_len = 32
    around the same logic (identical Rng draw sequence, so guided
    generation is reproducible across both forms). *)
 
-let producers_for_b target b ~upto kind =
+(* The one producer scan, over calls [0 .. n-1] of either program
+   form: one compile-time mask read per call. *)
+let producers_in target ~call ~n kind =
+  let mask = Target.producer_mask target kind in
   let acc = ref [] in
-  for k = min upto (Prog.Builder.length b) - 1 downto 0 do
-    let c = (Prog.Builder.call b k).Prog.syscall in
-    let produced = Target.produces target c in
-    if
-      List.exists
-        (fun r -> Target.compatible target ~consumer:kind ~producer:r)
-        produced
-    then acc := k :: !acc
+  for k = n - 1 downto 0 do
+    if mask.((call k).Prog.syscall.Syscall.id) then acc := k :: !acc
   done;
   !acc
 
 let producers_for target p ~upto kind =
-  let acc = ref [] in
-  for k = min upto (Prog.length p) - 1 downto 0 do
-    let c = (Prog.call p k).Prog.syscall in
-    let produced = Target.produces target c in
-    if
-      List.exists
-        (fun r -> Target.compatible target ~consumer:kind ~producer:r)
-        produced
-    then acc := k :: !acc
-  done;
-  !acc
+  producers_in target ~call:(Prog.call p) ~n:(min upto (Prog.length p)) kind
 
-let value_ctx_b target b ~at =
-  {
-    Value_gen.target;
-    producers = (fun kind -> producers_for_b target b ~upto:at kind);
-  }
+let producers_for_b target b ~upto kind =
+  producers_in target ~call:(Prog.Builder.call b)
+    ~n:(min upto (Prog.Builder.length b)) kind
 
 let make_call_b rng target b ~at (call : Syscall.t) =
-  let args = Value_gen.gen_args rng (value_ctx_b target b ~at) call in
-  { Prog.syscall = call; args }
+  let ctx =
+    { Value_gen.target; producers = (fun kind -> producers_for_b target b ~upto:at kind) }
+  in
+  { Prog.syscall = call; args = Value_gen.gen_args rng ctx call }
 
 let make_call rng target p ~at (call : Syscall.t) =
   let ctx =
-    {
-      Value_gen.target;
-      producers = (fun kind -> producers_for target p ~upto:at kind);
-    }
+    { Value_gen.target; producers = (fun kind -> producers_for target p ~upto:at kind) }
   in
   { Prog.syscall = call; args = Value_gen.gen_args rng ctx call }
 

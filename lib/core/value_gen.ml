@@ -61,9 +61,7 @@ let gen_resource rng ctx kind =
 let gen_buffer rng =
   let n = Rng.pick_arr rng buf_sizes in
   let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set b i (Char.chr (Rng.int rng 256))
-  done;
+  Rng.fill_bytes rng b;
   Value.Buf b
 
 let long_string rng =

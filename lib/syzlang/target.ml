@@ -11,6 +11,11 @@ type t = {
   (* Struct-expanded produce/consume sets, per syscall id. *)
   produced : string list array;
   consumed : string list array;
+  (* Declared resource kinds, sorted once at compile time. *)
+  kinds : string list;
+  (* Per consumer kind, [mask.(id)] holds when syscall [id] produces a
+     compatible kind: the predicate [producers] is filtered by. *)
+  producer_masks : (string, bool array) Hashtbl.t;
   producers : (string, Syscall.t list) Hashtbl.t;
   consumers : (string, Syscall.t list) Hashtbl.t;
   (* Source line of each declaration, keyed by "kind:name" (kinds:
@@ -161,6 +166,9 @@ let is_subtype t ~sub ~sup =
 
 let compatible t ~consumer ~producer = is_subtype t ~sub:producer ~sup:consumer
 
+let sorted_keys tbl =
+  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+
 let compile_located ?(name = "sim") ldecls =
   let flagsets = Hashtbl.create 64 in
   let structs : (string, Field.t list) Hashtbl.t = Hashtbl.create 64 in
@@ -255,6 +263,8 @@ let compile_located ?(name = "sim") ldecls =
       resources;
       produced = Array.make (Array.length calls) [];
       consumed = Array.make (Array.length calls) [];
+      kinds = sorted_keys resources;
+      producer_masks = Hashtbl.create 64;
       producers = Hashtbl.create 64;
       consumers = Hashtbl.create 64;
       positions;
@@ -283,20 +293,34 @@ let compile_located ?(name = "sim") ldecls =
       t.produced.(c.id) <- compute_produced t c;
       t.consumed.(c.id) <- compute_consumed t c)
     calls;
-  let kinds = Hashtbl.fold (fun k _ acc -> k :: acc) resources [] in
+  (* A call produces for consumer kind [k] when one of its produced
+     kinds is [k] or inherits from it: walk each produced kind's
+     (acyclic, checked above) parent chain once, marking every
+     ancestor. *)
+  List.iter
+    (fun kind -> Hashtbl.add t.producer_masks kind (Array.make (Array.length calls) false))
+    t.kinds;
+  Array.iter
+    (fun (c : Syscall.t) ->
+      let rec mark kind =
+        (Hashtbl.find t.producer_masks kind).(c.id) <- true;
+        match Hashtbl.find resources kind with
+        | { parent = Some p; _ } -> mark p
+        | { parent = None; _ } -> ()
+      in
+      List.iter mark t.produced.(c.id))
+    calls;
   List.iter
     (fun kind ->
-      let produces_compatible (c : Syscall.t) =
-        List.exists (fun p -> compatible t ~consumer:kind ~producer:p) t.produced.(c.id)
-      in
+      let mask = Hashtbl.find t.producer_masks kind in
       let consumes_compatible (c : Syscall.t) =
         List.exists (fun cns -> compatible t ~consumer:cns ~producer:kind) t.consumed.(c.id)
       in
       Hashtbl.add t.producers kind
-        (List.filter produces_compatible (Array.to_list calls));
+        (List.filter (fun (c : Syscall.t) -> mask.(c.id)) (Array.to_list calls));
       Hashtbl.add t.consumers kind
         (List.filter consumes_compatible (Array.to_list calls)))
-    kinds;
+    t.kinds;
   t
 
 let compile ?name decls =
@@ -333,11 +357,7 @@ let union_fields t name =
   | Some fs -> fs
   | None -> error "unknown union %s" name
 
-let resource_kinds t =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.resources [])
-
-let sorted_keys tbl =
-  List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+let resource_kinds t = t.kinds
 
 let struct_names t = sorted_keys t.structs
 let union_names t = sorted_keys t.unions
@@ -359,6 +379,11 @@ let consumes t (c : Syscall.t) = t.consumed.(c.id)
 let producers_of t kind =
   match Hashtbl.find_opt t.producers kind with
   | Some cs -> cs
+  | None -> error "unknown resource %s" kind
+
+let producer_mask t kind =
+  match Hashtbl.find_opt t.producer_masks kind with
+  | Some m -> m
   | None -> error "unknown resource %s" kind
 
 let consumers_of t kind =
@@ -413,16 +438,9 @@ let lint t =
     t.calls;
   List.iter
     (fun kind ->
-      let produced =
-        (* A kind counts as produced when anything produces it or a
-           subkind a consumer would accept in its place. *)
-        Array.exists
-          (fun (c : Syscall.t) ->
-            List.exists
-              (fun r -> compatible t ~consumer:kind ~producer:r)
-              t.produced.(c.id))
-          t.calls
-      in
+      (* A kind counts as produced when anything produces it or a
+         subkind a consumer would accept in its place. *)
+      let produced = Array.exists Fun.id (producer_mask t kind) in
       let consumed =
         Array.exists
           (fun (c : Syscall.t) ->
@@ -433,8 +451,7 @@ let lint t =
       in
       if not produced then warn "resource %s has no producer" kind;
       if not consumed then warn "resource %s has no consumer" kind)
-    (List.sort String.compare
-       (Hashtbl.fold (fun k _ acc -> k :: acc) t.resources []));
+    t.kinds;
   Hashtbl.iter
     (fun name _ ->
       if not (Hashtbl.mem used_flags name) then warn "flag set %s is unused" name)
@@ -451,15 +468,7 @@ let lint t =
     (fun (c : Syscall.t) ->
       List.iter
         (fun kind ->
-          let some_producer =
-            Array.exists
-              (fun (p : Syscall.t) ->
-                List.exists
-                  (fun r -> compatible t ~consumer:kind ~producer:r)
-                  t.produced.(p.id))
-              t.calls
-          in
-          if not some_producer then
+          if not (Array.exists Fun.id (producer_mask t kind)) then
             warn "%s consumes %s, which nothing can produce" c.Syscall.name kind)
         t.consumed.(c.id))
     t.calls;

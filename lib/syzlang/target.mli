@@ -45,7 +45,8 @@ val struct_fields : t -> string -> Field.t list
 val union_fields : t -> string -> Field.t list
 
 val resource_kinds : t -> string list
-(** All declared resource kind names, sorted. *)
+(** All declared resource kind names, sorted (once, at compile
+    time). *)
 
 val struct_names : t -> string list
 val union_names : t -> string list
@@ -74,6 +75,13 @@ val consumes : t -> Syscall.t -> string list
 
 val producers_of : t -> string -> Syscall.t list
 (** Calls producing a kind compatible with the given consumer kind. *)
+
+val producer_mask : t -> string -> bool array
+(** [producer_mask t kind] is indexed by syscall id: entry [id] holds
+    when that call produces a kind compatible with consumer [kind]
+    (the predicate {!producers_of} filters by). Computed at compile
+    time; do not mutate it. Raises {!Compile_error} for an unknown
+    kind. *)
 
 val consumers_of : t -> string -> Syscall.t list
 (** Calls consuming a kind compatible with the given producer kind. *)

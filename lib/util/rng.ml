@@ -3,7 +3,7 @@ type t = { mutable state : int64 }
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: Stafford's mix13 variant. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -37,6 +37,18 @@ let float t bound =
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
+
+(* [int t 256] keeps the low 8 bits of the next output (the 62-bit
+   mask and the modulus both preserve them), so byte i is the low byte
+   of [mix64 (s + (i+1)*gamma)]. The state lives in a local for the
+   loop, so the int64s stay unboxed and nothing allocates. *)
+let fill_bytes t b =
+  let s = ref t.state in
+  for i = 0 to Bytes.length b - 1 do
+    s := Int64.add !s golden_gamma;
+    Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix64 !s) land 0xff))
+  done;
+  t.state <- !s
 
 let chance t p =
   if p <= 0.0 then false

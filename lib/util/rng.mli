@@ -37,6 +37,11 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
+val fill_bytes : t -> Bytes.t -> unit
+(** [fill_bytes t b] overwrites [b] with exactly the bytes [n]
+    successive [Char.chr (int t 256)] draws would give, and leaves [t]
+    in the same state they would, without allocating. *)
+
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to \[0,1\]). *)
 

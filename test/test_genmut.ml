@@ -166,6 +166,34 @@ let test_gen_syscall_ids () =
     ids;
   Alcotest.(check int) "upto truncates" 1 (List.length (Gen.syscall_ids p ~upto:1))
 
+(* ---- the RNG stream, pinned across builds ---- *)
+
+(* Generation is a pure function of the Rng stream, so any change to
+   how a generator consumes it (an extra draw, a reordered pair, a
+   bulk fill that differs by one byte) shows up here. The constants
+   were measured before the bulk-fill buffer generator replaced the
+   per-byte one, and must never move. *)
+let test_golden_generation_stream () =
+  let rng = Rng.create 42 in
+  let buf = Buffer.create (1 lsl 20) in
+  for _ = 1 to 200 do
+    let p = Gen.generate rng (tgt ()) ~select:(random_select rng) () in
+    Buffer.add_string buf (Healer_executor.Serializer.encode p)
+  done;
+  Alcotest.(check string) "md5 of 200 encoded programs"
+    "df0c02565e7aab5f4e72eb5976005e3b"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_golden_campaign () =
+  let r =
+    Campaign.run_one ~hours:1.0 ~seed:1 ~tool:Fuzzer.Healer
+      ~version:Healer_kernel.Version.V5_11 ()
+  in
+  Alcotest.(check (list int)) "execs, final_cov, corpus_size, crashes"
+    [ 1958; 570; 336; 7 ]
+    [ r.Campaign.execs; r.Campaign.final_cov; r.Campaign.corpus_size;
+      List.length r.Campaign.crashes ]
+
 (* ---- corpus ---- *)
 
 let test_corpus_dedup () =
@@ -214,6 +242,8 @@ let suite =
     test_generate_runs_cleanly;
     test_mutate_well_formed;
     case "gen syscall_ids" test_gen_syscall_ids;
+    case "golden generation stream" test_golden_generation_stream;
+    case "golden 1h campaign" test_golden_campaign;
     case "corpus dedup" test_corpus_dedup;
     case "corpus pick/histogram" test_corpus_pick_and_histogram;
   ]

@@ -232,6 +232,78 @@ let test_full_target_sanity () =
       ignore (Target.consumers_of t kind))
     kinds
 
+(* The compile-time indexes must give exactly the answers of the
+   run-time predicates they replace. *)
+let check_indexes t =
+  let kinds = Target.resource_kinds t in
+  Alcotest.(check (list string)) "resource_kinds is sorted, without duplicates"
+    (List.sort_uniq String.compare kinds) kinds;
+  Array.iter
+    (fun (c : Syscall.t) ->
+      List.iter
+        (fun k ->
+          if not (List.mem k kinds) then
+            Alcotest.failf "%s uses kind %s, missing from resource_kinds" c.Syscall.name k)
+        (Target.produces t c @ Target.consumes t c))
+    (Target.syscalls t);
+  List.iter
+    (fun kind ->
+      let mask = Target.producer_mask t kind in
+      Alcotest.(check int) "mask covers every syscall" (Target.n_syscalls t)
+        (Array.length mask);
+      Array.iter
+        (fun (c : Syscall.t) ->
+          let expected =
+            List.exists
+              (fun p -> Target.compatible t ~consumer:kind ~producer:p)
+              (Target.produces t c)
+          in
+          if mask.(c.Syscall.id) <> expected then
+            Alcotest.failf "producer_mask %s.(%s) = %b" kind c.Syscall.name
+              mask.(c.Syscall.id))
+        (Target.syscalls t))
+    (Target.resource_kinds t);
+  match Target.producer_mask t "no_such_kind" with
+  | exception Target.Compile_error _ -> ()
+  | _ -> Alcotest.fail "unknown kind must raise Compile_error"
+
+let chain_fixture =
+  {|
+resource fd[int32]: -1
+resource fd_sock[fd]
+resource fd_tcp[fd_sock]
+resource unrelated[int64]
+struct pair { a fd_tcp, b int32 }
+open() fd
+socket() fd_sock
+socket_tcp() fd_tcp
+socketpair_tcp(p ptr[out, pair])
+accept(s fd_tcp) fd_tcp
+mk_unrelated() unrelated
+use(f fd, u unrelated)
+|}
+
+let test_indexes_fixture () =
+  let t = compile chain_fixture in
+  Alcotest.(check (list string)) "sorted kinds"
+    [ "fd"; "fd_sock"; "fd_tcp"; "unrelated" ]
+    (Target.resource_kinds t);
+  check_indexes t;
+  let producers kind =
+    List.filter
+      (fun (c : Syscall.t) -> (Target.producer_mask t kind).(c.Syscall.id))
+      (Array.to_list (Target.syscalls t))
+    |> List.map (fun (c : Syscall.t) -> c.Syscall.name)
+  in
+  Alcotest.(check (list string)) "fd accepts the whole chain"
+    [ "open"; "socket"; "socket_tcp"; "socketpair_tcp"; "accept" ]
+    (producers "fd");
+  Alcotest.(check (list string)) "fd_tcp accepts only the leaf"
+    [ "socket_tcp"; "socketpair_tcp"; "accept" ]
+    (producers "fd_tcp")
+
+let test_indexes_full_target () = check_indexes (tgt ())
+
 let test_specialization () =
   let t = tgt () in
   let c = Target.find_exn t "ioctl$KVM_RUN" in
@@ -294,6 +366,8 @@ let suite =
     case "compile chain" test_compile_cycle;
     case "full target: handlers align" test_full_target_handlers_align;
     case "full target: sanity" test_full_target_sanity;
+    case "compile-time indexes: chain fixture" test_indexes_fixture;
+    case "compile-time indexes: full target" test_indexes_full_target;
     case "specializations" test_specialization;
     case "decl positions" test_decl_positions;
     case "parse_located lines" test_parse_located_lines;

@@ -83,6 +83,33 @@ let test_rng_chance_extremes () =
   Alcotest.(check bool) "p=0 never" false (Rng.chance rng 0.0);
   Alcotest.(check bool) "p=1 always" true (Rng.chance rng 1.0)
 
+(* The per-byte loop [fill_bytes] replaced, kept as its oracle. *)
+let fill_bytes_oracle rng b =
+  for i = 0 to Bytes.length b - 1 do
+    Bytes.set b i (Char.chr (Rng.int rng 256))
+  done
+
+let test_rng_fill_bytes_oracle =
+  qcheck ~count:100 "fill_bytes matches per-byte draws"
+    QCheck2.Gen.(pair int (int_range 0 20_000))
+    (fun (seed, n) ->
+      let a = Rng.create seed in
+      let b = Rng.copy a in
+      let bulk = Bytes.make n '\x00' and oracle = Bytes.make n '\xff' in
+      Rng.fill_bytes a bulk;
+      fill_bytes_oracle b oracle;
+      Bytes.equal bulk oracle && Int64.equal (Rng.bits64 a) (Rng.bits64 b))
+
+let test_rng_fill_bytes_no_alloc () =
+  let rng = Rng.create 1 in
+  let b = Bytes.create 16384 in
+  Rng.fill_bytes rng b;
+  let before = Gc.minor_words () in
+  Rng.fill_bytes rng b;
+  let words = Gc.minor_words () -. before in
+  if words >= 64.0 then
+    Alcotest.failf "filling 16 KiB allocated %.0f words (bound: 64)" words
+
 let test_bitset_basic () =
   let b = Bitset.create () in
   Alcotest.(check int) "empty" 0 (Bitset.count b);
@@ -208,6 +235,8 @@ let suite =
     test_rng_shuffle_permutation;
     case "rng sample" test_rng_sample;
     case "rng chance extremes" test_rng_chance_extremes;
+    test_rng_fill_bytes_oracle;
+    case "rng fill_bytes allocation" test_rng_fill_bytes_no_alloc;
     case "bitset basic" test_bitset_basic;
     case "bitset add_seq" test_bitset_add_seq;
     case "bitset new_of" test_bitset_new_of;
