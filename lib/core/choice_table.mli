@@ -18,7 +18,9 @@ val create : Healer_syzlang.Target.t -> t
 
 val note_corpus_program : t -> Healer_executor.Prog.t -> unit
 (** Count the adjacent pairs of a corpus program into [P1]'s raw
-    counters (renormalized lazily). *)
+    counters. [P1] stays normalized incrementally: the maximum count is
+    tracked per increment, and only the affected cumulative select rows
+    (or all of them, when the maximum grows) are rebuilt on next use. *)
 
 val select :
   Healer_util.Rng.t -> t -> bias:int option -> int

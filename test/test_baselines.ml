@@ -63,6 +63,151 @@ let test_choice_select () =
     if v < 0 || v >= n then Alcotest.fail "biased select out of range"
   done
 
+(* ---- choice table vs the full-renormalize reference model ---- *)
+
+let equal_weights ct model =
+  let n = Target.n_syscalls (tgt ()) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      let w = Choice_table.weight ct i j and w' = Choice_oracle.weight model i j in
+      if w <> w' then
+        Alcotest.fail (Printf.sprintf "P(%d,%d): table %d, model %d" i j w w')
+    done
+  done
+
+let equal_picks ct model =
+  let n = Target.n_syscalls (tgt ()) in
+  let rng = rng () in
+  for b = 0 to n - 1 do
+    let rng' = Healer_util.Rng.copy rng in
+    let v = Choice_table.select rng ct ~bias:(Some b) in
+    let v' = Choice_oracle.select rng' model ~bias:(Some b) in
+    if v <> v' then
+      Alcotest.fail (Printf.sprintf "row %d: table picked %d, model %d" b v v')
+  done
+
+(* The first note takes the maximum count from 0 to 1: the noted entry
+   jumps from P1 = 10 to 1000 while every other entry must stay put. *)
+let test_choice_first_note () =
+  let ct = Choice_table.create (tgt ()) and model = Choice_oracle.create (tgt ()) in
+  equal_weights ct model;
+  equal_picks ct model;
+  let before = Choice_table.weight ct (id "socket$tcp") (id "listen") in
+  let p =
+    prog [ call "socket$tcp" [ i 2L; i 1L; i 6L ]; call "listen" [ r 0; iv 8 ] ]
+  in
+  Choice_table.note_corpus_program ct p;
+  Choice_oracle.note_corpus_program model p;
+  equal_weights ct model;
+  equal_picks ct model;
+  Alcotest.(check bool) "noted pair rises" true
+    (Choice_table.weight ct (id "socket$tcp") (id "listen") > before)
+
+type choice_op =
+  | Note_fresh of int  (* a program generated from this seed *)
+  | Note_again of int  (* an earlier program again: raises the maximum *)
+  | Select of [ `None | `Neg | `N | `Id of int | `Hot of int ]
+  | Weight of int * int
+
+let choice_op_gen =
+  let open QCheck2.Gen in
+  let id = int_bound 1_000_000 in
+  frequency
+    [
+      (2, map (fun s -> Note_fresh s) small_nat);
+      (1, map (fun k -> Note_again k) small_nat);
+      ( 2,
+        map (fun b -> Select b)
+          (oneof [ pure `None; pure `Neg; pure `N; map (fun b -> `Id b) id ]) );
+      (4, map (fun k -> Select (`Hot k)) small_nat);
+      (2, map2 (fun a b -> Weight (a, b)) id id);
+    ]
+
+(* Notes that grew the maximum count, and notes that did not. *)
+let raised = ref 0 and kept = ref 0
+
+(* Drives both tables through [ops] with two RNGs from one seed; false
+   on the first disagreement, or if the RNGs end in different states. *)
+let choice_agrees ops =
+  let tgt = tgt () in
+  let n = Target.n_syscalls tgt in
+  let ct = Choice_table.create tgt and model = Choice_oracle.create tgt in
+  let rng = Healer_util.Rng.create 11 and rng' = Healer_util.Rng.create 11 in
+  let noted = ref [] in
+  (* A call of some noted program: rows with counts are the ones a
+     missed rescale would leave wrong. *)
+  let hot k =
+    match List.concat_map (fun p -> Array.to_list p.Prog.calls) !noted with
+    | [] -> k mod n
+    | cs -> (List.nth cs (k mod List.length cs)).Prog.syscall.Syscall.id
+  in
+  let vmax () =
+    Array.fold_left (Array.fold_left max) 0 model.Choice_oracle.p1_raw
+  in
+  let note p =
+    let before = vmax () in
+    noted := p :: !noted;
+    Choice_table.note_corpus_program ct p;
+    Choice_oracle.note_corpus_program model p;
+    incr (if vmax () > before then raised else kept);
+    true
+  in
+  List.for_all
+    (function
+      | Note_fresh seed ->
+        let g = Healer_util.Rng.create seed in
+        note
+          (Gen.generate g tgt ~select:(fun ~sub:_ -> Healer_util.Rng.int g n) ())
+      | Note_again k -> (
+        match !noted with
+        | [] -> true
+        | ps -> note (List.nth ps (k mod List.length ps)))
+      | Select b ->
+        let bias =
+          match b with
+          | `None -> None
+          | `Neg -> Some (-1)
+          | `N -> Some n
+          | `Id b -> Some (b mod n)
+          | `Hot k -> Some (hot k)
+        in
+        Choice_table.select rng ct ~bias = Choice_oracle.select rng' model ~bias
+      | Weight (a, b) ->
+        Choice_table.weight ct (a mod n) (b mod n)
+        = Choice_oracle.weight model (a mod n) (b mod n))
+    ops
+  && Healer_util.Rng.bits64 rng = Healer_util.Rng.bits64 rng'
+
+let test_choice_differential =
+  qcheck ~count:60 "choice table ≡ full-renormalize model"
+    QCheck2.Gen.(list_size (int_range 1 40) choice_op_gen)
+    choice_agrees
+
+(* A fixed interleaving that draws both kinds of note, with the rows
+   built before a rescale read again after it. *)
+let test_choice_differential_fixed () =
+  raised := 0;
+  kept := 0;
+  let hot = List.init 24 (fun k -> Select (`Hot k)) in
+  Alcotest.(check bool) "agrees" true
+    (choice_agrees
+       ([ Note_fresh 1; Note_fresh 2 ] @ hot @ [ Note_again 0 ] @ hot
+       @ [ Note_fresh 3; Select `None; Select `Neg; Select `N; Weight (3, 4) ]
+       @ hot));
+  Alcotest.(check bool) "notes that raise the maximum" true (!raised > 0);
+  Alcotest.(check bool) "notes that keep it" true (!kept > 0)
+
+(* Both baselines pinned across commits: a choice-table change that
+   perturbs one pick moves these counts. *)
+let test_golden_baseline tool expected () =
+  let r =
+    Campaign.run_one ~hours:1.0 ~seed:1 ~tool
+      ~version:Healer_kernel.Version.V5_11 ()
+  in
+  Alcotest.(check (list int)) "execs, final_cov, corpus_size, crashes" expected
+    [ r.Campaign.execs; r.Campaign.final_cov; r.Campaign.corpus_size;
+      List.length r.Campaign.crashes ]
+
 (* ---- distillation ---- *)
 
 let test_dependencies_resource_flow () =
@@ -165,6 +310,14 @@ let suite =
     case "choice resourceless low" test_choice_resourceless_low;
     case "choice dynamic part" test_choice_dynamic_part;
     case "choice select" test_choice_select;
+    case "choice first note ≡ model" test_choice_first_note;
+    test_choice_differential;
+    case "choice differential, both kinds of note"
+      test_choice_differential_fixed;
+    case "golden syzkaller campaign"
+      (test_golden_baseline Fuzzer.Syzkaller [ 1688; 494; 266; 2 ]);
+    case "golden moonshine campaign"
+      (test_golden_baseline Fuzzer.Moonshine [ 1578; 596; 272; 4 ]);
     case "deps: resource flow" test_dependencies_resource_flow;
     case "deps: shared subsystem" test_dependencies_shared_subsystem;
     case "slice runnable" test_slice_runnable;
