@@ -683,27 +683,35 @@ let cache_smoke () =
   done;
   report_cache_stats cache
 
-(* ---- lockdep overhead smoke (cheap enough for every build) ---- *)
+(* ---- lock and effect hook overhead (cheap enough for every build) ---- *)
 
-(* The acquire/release hooks charge two State-counter increments per
-   lock nesting level; the acceptance bar is <= 5% on exec throughput.
-   Measured directly (not via bechamel) so the hooks-on/off toggle
-   brackets whole timing runs: N seed-corpus executions with hooks on
-   vs off, wall-clock per execution into [micro_results]. *)
-let lockdep_smoke () =
-  section "Lockdep hook overhead";
+(* The lock-accounting hooks charge two State-counter increments per
+   lock nesting level, the effect-recording hooks one State-array
+   increment per instrumented slot access; the acceptance bar for each
+   is <= 5% on exec throughput. Measured directly (not via bechamel)
+   so a hook setting brackets whole timing runs: N seed-corpus
+   executions per batch, wall-clock per execution into
+   [micro_results]. Batches interleave hooks off, lock hooks only and
+   effect hooks only, and each side keeps its minimum: interleaving
+   brackets out scheduler and GC drift, and the minimum is the
+   noise-robust estimate of the true per-execution cost. Both
+   overheads are taken against the one shared hooks-off baseline. *)
+let hooks_smoke () =
+  section "Lock and effect hook overhead";
   let target = K.Kernel.target () in
   let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
   let cov = K.Coverage.create () in
   let progs = Seeds.traces target @ Seeds.distilled target in
-  (* Interleaved batches with min-of-batches per side: alternating
-     off/on brackets out scheduler and GC drift, and the minimum is
-     the noise-robust estimate of the true per-execution cost. *)
   let batches = 12 and rounds = 200 in
-  let batch hooks =
-    K.Lock.set_hooks hooks;
+  let saved_lock = K.Lock.hooks_enabled ()
+  and saved_effects = K.Effect.hooks_enabled () in
+  let batch ~lock ~effects =
+    K.Lock.set_hooks lock;
+    K.Effect.set_hooks effects;
     Fun.protect
-      ~finally:(fun () -> K.Lock.set_hooks true)
+      ~finally:(fun () ->
+        K.Lock.set_hooks saved_lock;
+        K.Effect.set_hooks saved_effects)
       (fun () ->
         let t0 = Unix.gettimeofday () in
         for _ = 1 to rounds do
@@ -712,61 +720,32 @@ let lockdep_smoke () =
         let dt = Unix.gettimeofday () -. t0 in
         dt /. float_of_int (rounds * List.length progs) *. 1e9)
   in
-  (* Warm-up both sides so allocation effects don't bias either. *)
-  ignore (batch false);
-  ignore (batch true);
-  let off = ref infinity and on = ref infinity in
-  for _ = 1 to batches do
-    off := Float.min !off (batch false);
-    on := Float.min !on (batch true)
-  done;
-  let off = !off and on = !on in
-  micro_results :=
-    !micro_results @ [ ("exec (lock hooks off)", off); ("exec (lock hooks on)", on) ];
-  Fmt.pr "  %-26s %14.0f@." "exec (lock hooks off)" off;
-  Fmt.pr "  %-26s %14.0f@." "exec (lock hooks on)" on;
-  Fmt.pr "  %-26s %13.1f%%@." "lockdep overhead"
-    (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
-
-(* ---- effect-hook overhead smoke (cheap enough for every build) ---- *)
-
-(* The effect-recording hooks charge one State-array increment per
-   instrumented slot access; same acceptance bar and min-of-batches
-   method as the lockdep hooks (<= 5% on exec throughput). *)
-let effects_smoke () =
-  section "Effect hook overhead";
-  let target = K.Kernel.target () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let cov = K.Coverage.create () in
-  let progs = Seeds.traces target @ Seeds.distilled target in
-  let batches = 12 and rounds = 200 in
-  let batch hooks =
-    K.Effect.set_hooks hooks;
-    Fun.protect
-      ~finally:(fun () -> K.Effect.set_hooks true)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to rounds do
-          List.iter (fun p -> ignore (Healer_executor.Exec.run ~cov kernel p)) progs
-        done;
-        let dt = Unix.gettimeofday () -. t0 in
-        dt /. float_of_int (rounds * List.length progs) *. 1e9)
+  let sides =
+    [
+      ("exec (hooks off)", false, false);
+      ("exec (lock hooks on)", true, false);
+      ("exec (effect hooks on)", false, true);
+    ]
   in
-  ignore (batch false);
-  ignore (batch true);
-  let off = ref infinity and on = ref infinity in
+  (* Warm-up every side so allocation effects don't bias any. *)
+  List.iter (fun (_, lock, effects) -> ignore (batch ~lock ~effects)) sides;
+  let best = Array.make (List.length sides) infinity in
   for _ = 1 to batches do
-    off := Float.min !off (batch false);
-    on := Float.min !on (batch true)
+    List.iteri
+      (fun i (_, lock, effects) ->
+        best.(i) <- Float.min best.(i) (batch ~lock ~effects))
+      sides
   done;
-  let off = !off and on = !on in
-  micro_results :=
-    !micro_results
-    @ [ ("exec (effect hooks off)", off); ("exec (effect hooks on)", on) ];
-  Fmt.pr "  %-26s %14.0f@." "exec (effect hooks off)" off;
-  Fmt.pr "  %-26s %14.0f@." "exec (effect hooks on)" on;
-  Fmt.pr "  %-26s %13.1f%%@." "effect overhead"
-    (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
+  let rows = List.mapi (fun i (name, _, _) -> (name, best.(i))) sides in
+  micro_results := !micro_results @ rows;
+  List.iter (fun (name, ns) -> Fmt.pr "  %-26s %14.0f@." name ns) rows;
+  let overhead name i =
+    let off = best.(0) in
+    Fmt.pr "  %-26s %13.1f%%@." name
+      (if off > 0.0 then (best.(i) -. off) /. off *. 100.0 else 0.0)
+  in
+  overhead "lockdep overhead" 1;
+  overhead "effect overhead" 2
 
 (* ---- compiled-engine smoke (cheap enough for every build) ---- *)
 
@@ -774,10 +753,9 @@ let effects_smoke () =
    isolated exec loop with the reboot amortized away, and the warm
    probe loop (the minimization/relearning workload the compiled
    engine plus the prefix cache serve together). Measured with the
-   lockdep_smoke min-of-batches method. Before timing anything, every
-   seed program must produce bit-identical results on both engines —
-   a broken compile path fails this section, and with it `dune
-   runtest` (via @bench-smoke). *)
+   hooks_smoke min-of-batches method. The engine's differential check
+   against the reference interpreter lives in the test suite
+   (test/test_compiled.ml). *)
 let compiled_smoke () =
   section "Compiled execution (compile once, execute many)";
   let module E = Healer_executor in
@@ -787,17 +765,6 @@ let compiled_smoke () =
   let progs = Seeds.traces target @ Seeds.distilled target in
   let nprogs = List.length progs in
   let compiled = List.map E.Compiled.compile progs in
-  (* Differential gate over the whole seed corpus. *)
-  List.iter2
-    (fun p c ->
-      let _, ri = E.Exec.run ~cov kernel p in
-      let _, rc = E.Exec.run_compiled ~cov kernel c in
-      if ri <> rc then
-        failwith
-          ("compiled engine diverged from the interpreter on:\n"
-          ^ E.Prog.to_string p))
-    progs compiled;
-  Fmt.pr "  differential gate: %d seed programs bit-identical@." nprogs;
   let batches = 12 and rounds = 200 in
   let measure name pass =
     ignore (pass ());
@@ -818,31 +785,19 @@ let compiled_smoke () =
     measure "compile program" (fun () ->
         List.iter (fun p -> ignore (E.Compiled.compile p)) progs)
   in
-  let interp_fresh =
-    measure "exec interpreted (fresh)" (fun () ->
-        List.iter (fun p -> ignore (E.Exec.run ~cov kernel p)) progs)
-  in
-  let comp_fresh =
+  let fresh =
     measure "exec compiled (fresh)" (fun () ->
         List.iter (fun c -> ignore (E.Exec.run_compiled ~cov kernel c)) compiled)
   in
   (* The exec loop itself: one reboot per corpus pass (amortized to
-     noise) isolates per-call dispatch/resolve/patch cost from the
-     fresh-boot floor both engines share. *)
-  let interp_loop =
-    measure "exec loop interpreted" (fun () ->
-        let k = K.Kernel.reboot kernel in
-        List.iter
-          (fun p -> ignore (E.Exec.run ~fresh_state:false ~cov k p))
-          progs)
-  in
-  let comp_loop =
-    measure "exec loop compiled" (fun () ->
-        let k = K.Kernel.reboot kernel in
-        List.iter
-          (fun c -> ignore (E.Exec.run_compiled ~fresh_state:false ~cov k c))
-          compiled)
-  in
+     noise) isolates per-call dispatch/patch cost from the fresh-boot
+     floor. *)
+  ignore
+    (measure "exec loop compiled" (fun () ->
+         let k = K.Kernel.reboot kernel in
+         List.iter
+           (fun c -> ignore (E.Exec.run_compiled ~fresh_state:false ~cov k c))
+           compiled));
   (* Execute-many steady state: the probe loop re-running programs it
      has seen — compiled forms reused from the trie, results resumed
      from cached prefixes. This is the workload minimization and
@@ -859,10 +814,8 @@ let compiled_smoke () =
     st.E.Exec_cache.compiled_calls st.E.Exec_cache.reused_ccalls;
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
   Fmt.pr "  %-30s %11.1fx@." "compile cost vs one fresh run"
-    (ratio compile_ns interp_fresh);
-  Fmt.pr "  %-30s %11.1fx@." "fresh-run speedup" (ratio interp_fresh comp_fresh);
-  Fmt.pr "  %-30s %11.1fx@." "exec-loop speedup" (ratio interp_loop comp_loop);
-  Fmt.pr "  %-30s %11.1fx@." "execute-many speedup" (ratio interp_fresh warm)
+    (ratio compile_ns fresh);
+  Fmt.pr "  %-30s %11.1fx@." "execute-many speedup" (ratio fresh warm)
 
 (* ---- sharded campaign scaling (fuzzing-as-a-service) ---- *)
 
@@ -1141,8 +1094,8 @@ let sections =
     ("fig4", fig4); ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig5", fig5); ("fig6", fig6); ("table4", table4); ("table5", table5);
     ("ablation", ablation); ("micro", micro); ("cache", cache_smoke);
-    ("lockdep", lockdep_smoke); ("effects", effects_smoke);
-    ("compiled", compiled_smoke); ("shard", shard_smoke);
+    ("hooks", hooks_smoke); ("compiled", compiled_smoke);
+    ("shard", shard_smoke);
     ("wire", wire_micro); ("gen", gen_smoke);
   ]
 

@@ -2,14 +2,14 @@ module K = Healer_kernel
 module Syscall = Healer_syzlang.Syscall
 
 (* A compiled call: the argument skeleton is the fully-resolved
-   [K.Arg.t] tree the interpreter would rebuild per run, allocated
-   once at compile time. Every [Res_ref] in the source lowers to a
-   mutable [K.Arg.Slot] cell recorded in [slots]; [producers.(j)] is
-   the index of the call whose result fills [slots.(j)] (-1 for a
-   reference that can never resolve — it patches to the invalid
-   resource value, exactly how the interpreter degrades a dangling or
-   failed reference). Patching before each execution is two array
-   reads and a field store per reference: zero allocation. *)
+   [K.Arg.t] tree the handler consumes, allocated once at compile
+   time. Every [Res_ref] in the source lowers to a mutable
+   [K.Arg.Slot] cell recorded in [slots]; [producers.(j)] is the index
+   of the call whose result fills [slots.(j)]. A reference to a call
+   that never ran or failed patches to the invalid resource value
+   (-1), how a real executor passes along a failed resource. Patching
+   before each execution is two array reads and a field store per
+   reference: zero allocation. *)
 type ccall = {
   syscall : Syscall.t;
   prep : K.Kernel.prepared;  (* handler + subsystem, resolved once *)
@@ -23,7 +23,8 @@ type t = {
   calls : ccall array;
   (* Per-run scratch: the resource value produced by each call
      (retval on success, -1 otherwise), reset before every run. Owned
-     by this form — derived forms share [ccall]s but never scratch. *)
+     by this form — forms assembled by [of_calls] share [ccall]s but
+     never scratch. *)
   resvals : int64 array;
 }
 
@@ -37,11 +38,11 @@ let call t i =
     invalid_arg (Printf.sprintf "Compiled.call: index %d out of range" i);
   t.calls.(i)
 
-(* Mirrors [Exec.resolve] shape-for-shape; the HEALER_DEBUG_VALIDATE
-   differential oracle enforces that the two stay equivalent. A
-   [Res_ref] under a [Ptr] lowers to [Rec [Slot]] where the
-   interpreter builds [Rec [Int]] — indistinguishable through the
-   [K.Arg] accessors. *)
+(* Pointer payloads keep their [Rec]-wrapping shape, and a [Res_ref]
+   under a [Ptr] lowers to [Rec [Slot]] — read through the [K.Arg]
+   accessors exactly like [Rec [Int]]. The test suite's reference
+   interpreter resolves values independently, and the
+   HEALER_DEBUG_VALIDATE oracle enforces that the two agree. *)
 let rec lower patches (v : Value.t) : K.Arg.t =
   match v with
   | Value.Int x -> K.Arg.Int x
@@ -99,54 +100,3 @@ let patch t i =
     (Array.unsafe_get slots j).K.Arg.sv <-
       (if p >= 0 && p < nr then Array.unsafe_get resvals p else invalid)
   done
-
-(* ---- derived forms (share compiled calls where the edit allows) ----
-
-   The derived form's [prog] is exactly what the corresponding
-   [Prog.append]/[remove]/[insert] produces, but calls whose argument
-   skeletons survive the edit are shared instead of recompiled: only
-   the producer-index arrays are rewritten (and only when an index
-   actually moves). Sharing includes the mutable slots — safe because
-   every run patches every slot of a call before executing it, and
-   compiled forms are confined to one domain. A reference the edit
-   degrades to the invalid resource keeps its slot with producer -1,
-   which patches to the same value the interpreter resolves
-   [Res_special (-1)] to. *)
-
-let remap f (c : ccall) =
-  let n = Array.length c.producers in
-  let rec changed j = j < n && (f c.producers.(j) <> c.producers.(j) || changed (j + 1)) in
-  if not (changed 0) then c
-  else { c with producers = Array.map f c.producers }
-
-let append t (c : Prog.call) =
-  let n = Array.length t.calls in
-  let calls = Array.make (n + 1) (compile_call c) in
-  Array.blit t.calls 0 calls 0 n;
-  of_calls (Prog.append t.prog c) calls
-
-let remove t i =
-  let n = Array.length t.calls in
-  if i < 0 || i >= n then invalid_arg "Compiled.remove: index out of range";
-  let fix p = if p = i then -1 else if p > i then p - 1 else p in
-  let calls =
-    Array.init (n - 1) (fun k ->
-        if k < i then t.calls.(k) else remap fix t.calls.(k + 1))
-  in
-  of_calls (Prog.remove t.prog i) calls
-
-let insert t i (c : Prog.call) =
-  let n = Array.length t.calls in
-  if i < 0 || i > n then invalid_arg "Compiled.insert: index out of range";
-  let fix p = if p >= i then p + 1 else p in
-  let calls =
-    Array.init (n + 1) (fun k ->
-        if k < i then t.calls.(k)
-        else if k = i then compile_call c
-        else remap fix t.calls.(k - 1))
-  in
-  of_calls (Prog.insert t.prog i c) calls
-
-let sub t n =
-  if n < 0 || n > Array.length t.calls then invalid_arg "Compiled.sub: bad length";
-  of_calls (Prog.sub t.prog n) (Array.sub t.calls 0 n)

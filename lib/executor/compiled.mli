@@ -2,16 +2,15 @@
     per-call instruction records the executor can run repeatedly with
     zero per-call allocation in steady state.
 
-    The interpreter ({!Exec.resolve}) rebuilds every call's
-    {!Healer_kernel.Arg.t} tree on each run to substitute resource
-    results. Compilation builds that tree once, leaving a mutable
-    {!Healer_kernel.Arg.slot} cell at each [Res_ref] position and
-    recording [(slot, producer index)] patch points; before a call
-    executes, {!patch} fills its slots from the per-run results array
-    ({!set_resval}) — two array reads and a pointer store per
-    reference. The interpreter remains the differential oracle: under
-    [HEALER_DEBUG_VALIDATE] every compiled run is replayed interpreted
-    and compared bit-for-bit (see {!Exec.run_compiled}). *)
+    Compilation builds each call's {!Healer_kernel.Arg.t} tree once,
+    leaving a mutable {!Healer_kernel.Arg.slot} cell at each [Res_ref]
+    position and recording [(slot, producer index)] patch points;
+    before a call executes, {!patch} fills its slots from the per-run
+    results array ({!set_resval}) — two array reads and a pointer
+    store per reference. The test suite's reference interpreter is
+    the differential oracle: while it is installed and
+    [HEALER_DEBUG_VALIDATE] is on, every run is replayed through it
+    and compared bit-for-bit (see {!Exec.set_reference}). *)
 
 module K = Healer_kernel
 
@@ -26,12 +25,11 @@ type ccall = {
 
 type t
 (** A compiled program: the source {!Prog.t}, its compiled calls, and
-    a private per-run results array. Derived forms ({!append},
-    {!remove}, {!insert}, {!sub}) share [ccall]s — including their
-    mutable slots — with the parent where the edit permits; this is
-    safe because every slot of a call is patched immediately before
-    that call runs, but it confines any given family of compiled forms
-    to a single domain at a time. *)
+    a private per-run results array. Forms assembled by {!of_calls}
+    may share [ccall]s — including their mutable slots — with other
+    forms; this is safe because every slot of a call is patched
+    immediately before that call runs, but it confines any given
+    family of compiled forms to a single domain at a time. *)
 
 val compile : Prog.t -> t
 val compile_call : Prog.call -> ccall
@@ -57,17 +55,3 @@ val set_resval : t -> int -> int64 -> unit
 
 val patch : t -> int -> unit
 (** Fill call [i]'s slots from the recorded results. Allocation-free. *)
-
-(** {2 Derived forms}
-
-    Each mirrors the corresponding {!Prog} edit but recompiles only
-    the calls whose argument skeletons the edit invalidates —
-    surviving calls are shared, with producer indices remapped (a
-    reference degraded by {!remove} keeps its slot with producer -1,
-    patching to the invalid resource value exactly as the interpreter
-    resolves the [Res_special (-1)] the {!Prog} edit writes). *)
-
-val append : t -> Prog.call -> t
-val remove : t -> int -> t
-val insert : t -> int -> Prog.call -> t
-val sub : t -> int -> t

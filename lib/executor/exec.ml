@@ -14,56 +14,34 @@ type run_result = {
 
 let skipped = { retval = -1L; errno = None; cov = []; executed = false }
 
-(* Resolve a symbolic value to a runtime argument. [results] holds the
-   return values of already-executed calls; a reference to a failed
-   call degrades to -1, which is how a real executor passes along an
-   invalid resource. *)
-let rec resolve results (v : Value.t) : K.Arg.t =
-  match v with
-  | Value.Int x -> K.Arg.Int x
-  | Value.Res_special x -> K.Arg.Int x
-  | Value.Res_ref i ->
-    let x =
-      if i >= 0 && i < Array.length results then
-        match results.(i) with
-        | Some { retval; errno = None; executed = true; _ } -> retval
-        | Some _ | None -> -1L
-      else -1L
-    in
-    K.Arg.Int x
-  | Value.Str s -> K.Arg.Str s
-  | Value.Buf b -> K.Arg.Buf b
-  | Value.Group vs -> K.Arg.Rec (List.map (resolve results) vs)
-  | Value.Ptr inner -> (
-    match resolve results inner with
-    | K.Arg.Rec _ as r -> r
-    | K.Arg.Str _ as s -> s
-    | K.Arg.Buf _ as b -> b
-    | K.Arg.Int _ as x -> K.Arg.Rec [ x ]
-    (* The interpreter never materializes patch slots; the case exists
-       only because [Arg.t] carries them for the compiled engine. *)
-    | K.Arg.Slot _ as s -> K.Arg.Rec [ s ]
-    | K.Arg.Nothing -> K.Arg.Nothing)
-  | Value.Null -> K.Arg.Nothing
-  | Value.Vma a -> K.Arg.Int a
+(* The resource value a call's result contributes to later [Res_ref]
+   arguments: its return value on success, the invalid resource (-1)
+   after an error, a crash or a skip — how a real executor passes
+   along a failed resource. *)
+let resval_of (cr : call_result) =
+  if cr.executed && cr.errno = None then cr.retval else -1L
 
-(* Shared execution core: runs calls [start..] of [p] against [kernel]
-   in place, filling [results]/[out]. [on_call] fires after each call
+(* The execution loop: runs calls [start..] of [c] against [kernel] in
+   place, filling [out]. Dispatch is pre-resolved, the argument
+   skeleton is patched in place, and one recycled context serves the
+   whole run. A crash aborts the run; a fault-injected call kills the
+   executor process after it returns. [on_call] fires after each call
    that completes without crashing or being fault-killed — the
    execution cache uses it to snapshot prefix states mid-run. *)
-let exec_calls ?fault_call ?on_call kernel (p : Prog.t) results out cov start =
-  let n = Prog.length p in
+let exec_ccalls ?fault_call ?on_call kernel (c : Compiled.t) out cov start =
+  let n = Compiled.length c in
+  let ctx = K.Kernel.make_ctx kernel cov in
   let crash = ref None in
   let stop = ref false in
   let i = ref start in
   while (not !stop) && !i < n do
     let idx = !i in
-    let c = Prog.call p idx in
-    let args = List.map (resolve results) c.Prog.args in
+    let cc = Compiled.call c idx in
+    Compiled.patch c idx;
     let fault = fault_call = Some idx in
     K.Coverage.reset cov;
     (try
-       let r = K.Kernel.exec_call kernel ~fault ~cov c.Prog.syscall args in
+       let r = K.Kernel.exec_prepared kernel ~ctx ~fault cc.Compiled.prep cc.Compiled.args in
        let cr =
          {
            retval = r.K.Ctx.ret;
@@ -73,9 +51,9 @@ let exec_calls ?fault_call ?on_call kernel (p : Prog.t) results out cov start =
          }
        in
        out.(idx) <- cr;
-       results.(idx) <- Some cr
+       Compiled.set_resval c idx (resval_of cr)
      with K.Crash.Crash { bug_key; risk } ->
-       let call_name = c.Prog.syscall.Healer_syzlang.Syscall.name in
+       let call_name = cc.Compiled.syscall.Healer_syzlang.Syscall.name in
        out.(idx) <-
          {
            retval = -1L;
@@ -120,196 +98,86 @@ let exec_calls ?fault_call ?on_call kernel (p : Prog.t) results out cov start =
   done;
   !crash
 
-let run ?fault_call ?(fresh_state = true) ?cov kernel (p : Prog.t) =
-  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
-  let n = Prog.length p in
-  let results = Array.make n None in
-  let out = Array.make n skipped in
-  (* Callers on the hot path (the VM pool) pass a long-lived collector
-     so steady-state execution allocates no per-run dedup state. *)
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_calls ?fault_call kernel p results out cov 0 in
-  (kernel, { calls = out; crash })
+(* ---- the reference oracle (a test seam) ---- *)
 
-let run_from ?cov ?on_call ~prefix kernel (p : Prog.t) =
-  let n = Prog.length p in
-  let k = Array.length prefix in
-  if k > n then invalid_arg "Exec.run_from: prefix longer than program";
-  let results = Array.make n None in
-  let out = Array.make n skipped in
-  for i = 0 to k - 1 do
-    out.(i) <- prefix.(i);
-    results.(i) <- Some prefix.(i)
-  done;
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_calls ?on_call kernel p results out cov k in
-  (kernel, { calls = out; crash })
+type reference =
+  ?fault_call:int ->
+  prefix:call_result array ->
+  K.Kernel.t ->
+  Prog.t ->
+  run_result
 
-(* ---- compiled execution ---- *)
+let reference : reference option ref = ref None
+let set_reference r = reference := r
 
-let compiled_env () =
-  match Sys.getenv_opt "HEALER_COMPILED" with
-  | None -> true
-  | Some v -> (
-    match String.lowercase_ascii (String.trim v) with
-    | "" | "0" | "false" | "no" | "off" -> false
-    | _ -> true)
+(* The installed reference and a shadow kernel carrying [kernel]'s
+   pre-run state, when the oracle is armed: a reference is installed
+   and HEALER_DEBUG_VALIDATE is on. *)
+let arm_oracle ~fresh kernel =
+  match !reference with
+  | Some replay when Progcheck.debug_enabled () ->
+    let shadow =
+      if fresh then K.Kernel.reboot kernel else K.Kernel.copy kernel
+    in
+    Some (replay, shadow)
+  | Some _ | None -> None
 
-let compiled = ref (compiled_env ())
-let compiled_enabled () = !compiled
-let set_compiled b = compiled := b
-
-(* The resource value a call's result contributes: the interpreter
-   encodes this in [resolve]'s match on [results]; the compiled path
-   precomputes it into [Compiled.set_resval]. *)
-let resval_of (cr : call_result) =
-  if cr.executed && cr.errno = None then cr.retval else -1L
-
-(* The compiled twin of [exec_calls]: same control flow call for call
-   (crash abort, fault-injection coredump, [on_call] firing), but
-   dispatch is pre-resolved, the argument skeleton is patched in place
-   instead of rebuilt, and one recycled context serves the whole
-   run. *)
-let exec_ccalls ?fault_call ?on_call kernel (c : Compiled.t) out cov start =
-  let n = Compiled.length c in
-  let ctx = K.Kernel.make_ctx kernel cov in
-  let crash = ref None in
-  let stop = ref false in
-  let i = ref start in
-  while (not !stop) && !i < n do
-    let idx = !i in
-    let cc = Compiled.call c idx in
-    Compiled.patch c idx;
-    let fault = fault_call = Some idx in
-    K.Coverage.reset cov;
-    (try
-       let r = K.Kernel.exec_prepared kernel ~ctx ~fault cc.Compiled.prep cc.Compiled.args in
-       let cr =
-         {
-           retval = r.K.Ctx.ret;
-           errno = r.K.Ctx.err;
-           cov = K.Coverage.blocks cov;
-           executed = true;
-         }
-       in
-       out.(idx) <- cr;
-       Compiled.set_resval c idx (resval_of cr)
-     with K.Crash.Crash { bug_key; risk } ->
-       let call_name = cc.Compiled.syscall.Healer_syzlang.Syscall.name in
-       out.(idx) <-
-         {
-           retval = -1L;
-           errno = None;
-           cov = K.Coverage.blocks cov;
-           executed = true;
-         };
-       crash :=
-         Some
-           {
-             K.Crash.bug_key;
-             risk;
-             call_index = idx;
-             call_name;
-             log = K.Crash.render_log ~bug_key ~risk ~call_name;
-           };
-       stop := true);
-    if (not !stop) && fault then begin
-      K.Coverage.reset cov;
-      (try
-         K.Kernel.coredump kernel ~cov;
-         let prev = out.(idx) in
-         out.(idx) <- { prev with cov = prev.cov @ K.Coverage.blocks cov }
-       with K.Crash.Crash { bug_key; risk } ->
-         crash :=
-           Some
-             {
-               K.Crash.bug_key;
-               risk;
-               call_index = idx;
-               call_name = "coredump";
-               log = K.Crash.render_log ~bug_key ~risk ~call_name:"coredump";
-             });
-      stop := true
-    end;
-    if not !stop then
-      (match on_call with Some f -> f idx out.(idx) kernel | None -> ());
-    incr i
-  done;
-  !crash
-
-(* Differential oracle, armed by HEALER_DEBUG_VALIDATE: replay the
-   program interpreted on a shadow kernel carrying the same pre-run
-   state and require bit-identical results plus identical lock-pair
-   coverage counters. The interpreter is the semantics of record; any
-   divergence is a compiler bug and fails loudly. *)
-let oracle_check ?fault_call ~what ~prefix shadow kernel_after (c : Compiled.t)
-    (r : run_result) =
+(* Replay the run on the shadow kernel through the reference and
+   require bit-identical results plus identical lock-pair coverage
+   counters. The reference is the semantics of record; any divergence
+   is a compiler bug and fails loudly. *)
+let oracle_check ?fault_call ~what ~prefix ((replay : reference), shadow)
+    kernel_after (c : Compiled.t) (r : run_result) =
   let p = Compiled.prog c in
-  let _, ri =
-    match prefix with
-    | None ->
-      let n = Prog.length p in
-      let results = Array.make n None in
-      let out = Array.make n skipped in
-      let cov = K.Coverage.create () in
-      let crash = exec_calls ?fault_call shadow p results out cov 0 in
-      (shadow, { calls = out; crash })
-    | Some prefix -> run_from ~prefix shadow p
-  in
-  if r <> ri then
+  if replay ?fault_call ~prefix shadow p <> r then
     failwith
       (Fmt.str
-         "HEALER_DEBUG_VALIDATE: %s diverged from the interpreter on:@.%s" what
-         (Prog.to_string p));
+         "HEALER_DEBUG_VALIDATE: %s diverged from the reference interpreter \
+          on:@.%s"
+         what (Prog.to_string p));
   if
     K.Kernel.lock_pair_counts kernel_after <> K.Kernel.lock_pair_counts shadow
   then
     failwith
       (Fmt.str
          "HEALER_DEBUG_VALIDATE: %s left different lock-pair counters than \
-          the interpreter on:@.%s"
+          the reference interpreter on:@.%s"
          what (Prog.to_string p))
 
-let run_compiled ?fault_call ?(fresh_state = true) ?cov kernel (c : Compiled.t)
-    =
-  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
-  let shadow =
-    if Progcheck.debug_enabled () then
-      Some (if fresh_state then K.Kernel.reboot kernel else K.Kernel.copy kernel)
-    else None
-  in
-  let n = Compiled.length c in
-  let out = Array.make n skipped in
-  let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  Compiled.reset_resvals c;
-  let crash = exec_ccalls ?fault_call kernel c out cov 0 in
-  let r = { calls = out; crash } in
-  (match shadow with
-  | Some sk -> oracle_check ?fault_call ~what:"run_compiled" ~prefix:None sk kernel c r
-  | None -> ());
-  (kernel, r)
-
-let run_from_compiled ?cov ?on_call ~prefix kernel (c : Compiled.t) =
+(* One run of [c] on [kernel] in place, resuming after [prefix] (empty
+   for a whole run). [fresh] says whether [kernel] is a fresh boot,
+   which lets the oracle's shadow reboot instead of deep-copying. *)
+let execute ?fault_call ?on_call ?cov ~what ~fresh ~prefix kernel
+    (c : Compiled.t) =
   let n = Compiled.length c in
   let k = Array.length prefix in
-  if k > n then invalid_arg "Exec.run_from_compiled: prefix longer than program";
-  let shadow =
-    if Progcheck.debug_enabled () then Some (K.Kernel.copy kernel) else None
-  in
+  if k > n then invalid_arg ("Exec." ^ what ^ ": prefix longer than program");
+  let oracle = arm_oracle ~fresh kernel in
   let out = Array.make n skipped in
   Compiled.reset_resvals c;
   for i = 0 to k - 1 do
     out.(i) <- prefix.(i);
     Compiled.set_resval c i (resval_of prefix.(i))
   done;
+  (* Callers on the hot path (the VM pool) pass a long-lived collector
+     so steady-state execution allocates no per-run dedup state. *)
   let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_ccalls ?on_call kernel c out cov k in
+  let crash = exec_ccalls ?fault_call ?on_call kernel c out cov k in
   let r = { calls = out; crash } in
-  (match shadow with
-  | Some sk ->
-    oracle_check ~what:"run_from_compiled" ~prefix:(Some prefix) sk kernel c r
-  | None -> ());
+  Option.iter
+    (fun o -> oracle_check ?fault_call ~what ~prefix o kernel c r)
+    oracle;
   (kernel, r)
+
+let run_compiled ?fault_call ?(fresh_state = true) ?cov kernel c =
+  let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
+  execute ?fault_call ?cov ~what:"run" ~fresh:fresh_state ~prefix:[||] kernel c
+
+let run ?fault_call ?fresh_state ?cov kernel (p : Prog.t) =
+  run_compiled ?fault_call ?fresh_state ?cov kernel (Compiled.compile p)
+
+let run_from_compiled ?cov ?on_call ~prefix kernel c =
+  execute ?cov ?on_call ~what:"run_from_compiled" ~fresh:false ~prefix kernel c
 
 (* Sorted, duplicate-free array form of a coverage trace. Minimization
    and dynamic learning compare one reference trace against many probe

@@ -1,10 +1,10 @@
 (** Program execution against a booted simulated kernel.
 
-    Each run resolves the program's symbolic values, executes the
-    calls in order, and collects per-call branch coverage — the
-    feedback HEALER's minimization and dynamic relation learning
-    consume. A crash aborts the run; the remaining calls are not
-    executed (the guest has paniced). *)
+    Each run lowers the program's symbolic values once ({!Compiled}),
+    executes the calls in order, and collects per-call branch
+    coverage — the feedback HEALER's minimization and dynamic
+    relation learning consume. A crash aborts the run; the remaining
+    calls are not executed (the guest has paniced). *)
 
 type call_result = {
   retval : int64;
@@ -25,7 +25,8 @@ val run :
   Healer_kernel.Kernel.t ->
   Prog.t ->
   Healer_kernel.Kernel.t * run_result
-(** [run kernel prog] executes [prog]. With [fresh_state] (default
+(** [run kernel prog] compiles [prog] ({!Compiled.compile}) and
+    executes it with {!run_compiled}. With [fresh_state] (default
     true) the kernel is re-booted first, making runs reproducible —
     the executor forks a pristine process per test case.
     [fault_call i] injects an allocation failure into call [i]; the
@@ -35,43 +36,6 @@ val run :
     per run; a fresh one is created when absent. Returns the
     (possibly re-booted) kernel and the result. *)
 
-val run_from :
-  ?cov:Healer_kernel.Coverage.t ->
-  ?on_call:(int -> call_result -> Healer_kernel.Kernel.t -> unit) ->
-  prefix:call_result array ->
-  Healer_kernel.Kernel.t ->
-  Prog.t ->
-  Healer_kernel.Kernel.t * run_result
-(** [run_from ~prefix kernel prog] resumes execution at call
-    [Array.length prefix]: [kernel] must be the state left by running
-    exactly those prefix calls of [prog] from a fresh boot (the
-    execution cache restores it from a snapshot), and [prefix] supplies
-    their results so later [Res_ref] arguments resolve identically to a
-    full {!run}. Because execution is deterministic, the returned
-    result is bit-identical to [run kernel prog] — the qcheck suite
-    enforces this. [on_call i r k] fires after each live (resumed)
-    call that completes without crashing, with the kernel state at
-    that point; never for fault-injected runs (which do not resume).
-    The kernel is mutated in place and returned. *)
-
-(** {2 Compiled execution}
-
-    The compiled engine runs a {!Compiled.t} — the program lowered
-    once, see {!Compiled} — through the same control flow as {!run}
-    with zero per-call argument allocation. Results are bit-identical
-    to the interpreter's; under [HEALER_DEBUG_VALIDATE]
-    ({!Progcheck.set_debug}) every compiled run is also executed
-    interpreted on a shadow kernel and compared (results and lock-pair
-    counters), keeping the interpreter as the differential oracle. *)
-
-val compiled_enabled : unit -> bool
-(** Engine selector consulted by {!Vm.run} and {!Exec_cache.run}:
-    defaults to on, [HEALER_COMPILED=0] (or [false]/[no]/[off]) forces
-    the interpreter. *)
-
-val set_compiled : bool -> unit
-(** Override the engine selector in-process (tests compare engines). *)
-
 val run_compiled :
   ?fault_call:int ->
   ?fresh_state:bool ->
@@ -79,7 +43,9 @@ val run_compiled :
   Healer_kernel.Kernel.t ->
   Compiled.t ->
   Healer_kernel.Kernel.t * run_result
-(** {!run} over a compiled program. *)
+(** {!run} over an already compiled program: every run patches the
+    argument skeleton in place, with zero per-call argument
+    allocation. *)
 
 val run_from_compiled :
   ?cov:Healer_kernel.Coverage.t ->
@@ -88,7 +54,41 @@ val run_from_compiled :
   Healer_kernel.Kernel.t ->
   Compiled.t ->
   Healer_kernel.Kernel.t * run_result
-(** {!run_from} over a compiled program. *)
+(** [run_from_compiled ~prefix kernel c] resumes execution at call
+    [Array.length prefix]: [kernel] must be the state left by running
+    exactly those prefix calls of [c] from a fresh boot (the
+    execution cache restores it from a snapshot), and [prefix] supplies
+    their results so later [Res_ref] arguments resolve identically to a
+    full {!run}. Because execution is deterministic, the returned
+    result is bit-identical to [run kernel (Compiled.prog c)] — the
+    qcheck suite enforces this. [on_call i r k] fires after each live
+    (resumed) call that completes without crashing, with the kernel
+    state at that point. The kernel is mutated in place and returned. *)
+
+(** {2 Reference oracle}
+
+    A test seam: the test suite installs an independent reference
+    executor, and while one is installed and [HEALER_DEBUG_VALIDATE]
+    is on ({!Progcheck.set_debug}), {!run_compiled} and
+    {!run_from_compiled} (and so {!run}) replay every run on a shadow
+    kernel carrying the same pre-run state. The replay must produce
+    bit-identical results — retvals, errnos, per-call coverage, crash
+    report — and leave identical lock-pair counters; a divergence
+    raises [Failure]. *)
+
+type reference =
+  ?fault_call:int ->
+  prefix:call_result array ->
+  Healer_kernel.Kernel.t ->
+  Prog.t ->
+  run_result
+(** [replay ?fault_call ~prefix kernel p] executes the calls of [p]
+    after [prefix] against [kernel] in place, exactly as
+    {!run_from_compiled} would (an empty [prefix] is a whole run,
+    with [kernel] already in its pre-run state). *)
+
+val set_reference : reference option -> unit
+(** Install ([Some]) or remove ([None]) the reference executor. *)
 
 val cov_equal : int list -> int list -> bool
 (** Set equality of two per-call coverage traces (order-insensitive),

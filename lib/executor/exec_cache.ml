@@ -30,7 +30,7 @@ type node = {
      recompiles only the changed suffix. Valid to share because each
      run patches a call's slots right before executing it and the
      cache is single-domain. *)
-  mutable ccall : Compiled.ccall option;
+  ccall : Compiled.ccall;
 }
 
 type memo_entry = {
@@ -245,7 +245,20 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
       if k > 0 then t.st.hits <- t.st.hits + 1 else t.st.misses <- t.st.misses + 1;
       t.st.resumed_calls <- t.st.resumed_calls + k;
       let prefix = Array.init k (fun i -> (Option.get path.(i)).result) in
-      let record ~ccall idx cr kern =
+      (* Assemble the compiled program from trie-resident compiled
+         calls where the walk matched (typically the whole shared
+         prefix), compiling only the new suffix. *)
+      let ccalls =
+        Array.init n (fun i ->
+            match path.(i) with
+            | Some nd ->
+              t.st.reused_ccalls <- t.st.reused_ccalls + 1;
+              nd.ccall
+            | None ->
+              t.st.compiled_calls <- t.st.compiled_calls + 1;
+              Compiled.compile_call (Prog.call p i))
+      in
+      let record idx cr kern =
         t.st.executed_calls <- t.st.executed_calls + 1;
         let children =
           if idx = 0 then t.root else (Option.get path.(idx - 1)).children
@@ -253,9 +266,6 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
         match Hashtbl.find_opt children keys.(idx) with
         | Some child ->
           path.(idx) <- Some child;
-          (match child.ccall with
-          | None -> child.ccall <- ccall
-          | Some _ -> ());
           (* Second execution through a known snapshot-less prefix:
              promote it, so the next shared-prefix probe resumes here
              instead of re-running from boot. Depth n is left to the
@@ -269,7 +279,7 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
               result = cr;
               snap = None;
               stamp = t.clock;
-              ccall;
+              ccall = ccalls.(idx);
             }
           in
           Hashtbl.replace children keys.(idx) child;
@@ -277,33 +287,8 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
           path.(idx) <- Some child
       in
       let kernel, r =
-        if Exec.compiled_enabled () then begin
-          (* Assemble the compiled program from trie-resident compiled
-             calls where the walk matched (typically the whole shared
-             prefix), compiling only the new suffix. Nodes missing a
-             compiled form are backfilled in place. *)
-          let ccalls =
-            Array.init n (fun i ->
-                match path.(i) with
-                | Some nd -> (
-                  match nd.ccall with
-                  | Some cc ->
-                    t.st.reused_ccalls <- t.st.reused_ccalls + 1;
-                    cc
-                  | None ->
-                    let cc = Compiled.compile_call (Prog.call p i) in
-                    t.st.compiled_calls <- t.st.compiled_calls + 1;
-                    nd.ccall <- Some cc;
-                    cc)
-                | None ->
-                  t.st.compiled_calls <- t.st.compiled_calls + 1;
-                  Compiled.compile_call (Prog.call p i))
-          in
-          let c = Compiled.of_calls p ccalls in
-          let on_call idx cr kern = record ~ccall:(Some ccalls.(idx)) idx cr kern in
-          Exec.run_from_compiled ~prefix ?cov ~on_call kernel c
-        end
-        else Exec.run_from ~prefix ?cov ~on_call:(record ~ccall:None) kernel p
+        Exec.run_from_compiled ~prefix ?cov ~on_call:record kernel
+          (Compiled.of_calls p ccalls)
       in
       (* The finished kernel is ours alone — retain it as the
          full-program snapshot without paying a copy. *)

@@ -26,8 +26,8 @@
     The cache only ever models simulator wall-clock: virtual-clock
     charging in the fuzzer is unchanged.
 
-    Under the compiled engine ({!Exec.compiled_enabled}) trie nodes
-    additionally carry the call's {!Compiled.ccall}: a probe assembles
+    Trie nodes additionally carry the call's {!Compiled.ccall}: a
+    probe assembles
     its compiled program from the trie for the shared prefix and
     compiles only the new suffix, so a mutate→execute step never
     re-lowers calls it shares with previous probes.

@@ -25,8 +25,8 @@ let map_call_refs f c =
 
 (* remove/insert build the edited call array in one allocation;
    [map_call_refs] keeps untouched calls physically shared with the
-   source program, which lets Compiled's derived forms (and any
-   per-call memoization keyed by [==]) reuse work across edits. *)
+   source program, which lets any per-call memoization keyed by [==]
+   reuse work across edits. *)
 let remove p i =
   if i < 0 || i >= length p then invalid_arg "Prog.remove: index out of range";
   let fix j =

@@ -78,7 +78,7 @@ let debug = ref (env_enabled ())
 
 (* One switch drives the whole debug-validation contract: flipping it
    also arms (or disarms) the runtime lockdep and effect-trace
-   validators down in [Kernel.exec_call], so `Progcheck.set_debug
+   validators down in [Kernel.exec_prepared], so `Progcheck.set_debug
    true` — what the test suite and the dune @analyze gates do — covers
    all three. *)
 let set_debug b =

@@ -12,10 +12,6 @@ type t = {
   mutable is_crashed : bool;
   cov : K.Coverage.t;  (* reused across every run on this VM *)
   st : stats;
-  (* Small MRU memo of compiled forms, keyed by physical program
-     identity: re-executions of the same program object (observation
-     re-runs, benchmarks) skip recompilation entirely. *)
-  mutable compiled : (Prog.t * Compiled.t) list;
 }
 
 let create ?(san = K.Sanitizer.default) ?(features = []) ~version ~id () =
@@ -25,26 +21,7 @@ let create ?(san = K.Sanitizer.default) ?(features = []) ~version ~id () =
     is_crashed = false;
     cov = K.Coverage.create ();
     st = { execs = 0; crashes = 0; resets = 0 };
-    compiled = [];
   }
-
-let memo_size = 8
-
-let rec take k = function
-  | [] -> []
-  | x :: rest -> if k <= 0 then [] else x :: take (k - 1) rest
-
-let compiled_of vm p =
-  let rec find = function
-    | [] -> None
-    | (q, c) :: rest -> if q == p then Some c else find rest
-  in
-  match find vm.compiled with
-  | Some c -> c
-  | None ->
-    let c = Compiled.compile p in
-    vm.compiled <- (p, c) :: take (memo_size - 1) vm.compiled;
-    c
 
 let id vm = vm.vm_id
 let crashed vm = vm.is_crashed
@@ -67,11 +44,7 @@ let finish vm result =
 
 let run vm ?fault_call prog =
   reset vm;
-  let kernel, result =
-    if Exec.compiled_enabled () then
-      Exec.run_compiled ?fault_call ~cov:vm.cov vm.kernel (compiled_of vm prog)
-    else Exec.run ?fault_call ~cov:vm.cov vm.kernel prog
-  in
+  let kernel, result = Exec.run ?fault_call ~cov:vm.cov vm.kernel prog in
   vm.kernel <- kernel;
   finish vm result
 

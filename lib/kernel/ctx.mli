@@ -75,7 +75,7 @@ val bug_fires : t -> string -> bool
     in {!with_lock}; since the simulator is single-threaded the hooks
     never block — they account lock-pair coverage counters in
     {!State.t} and, under {!Lock.validate_enabled}, record the
-    acquisition trace that {!Kernel.exec_call} checks against the
+    acquisition trace that {!Kernel.exec_prepared} checks against the
     handler's declared spec. *)
 
 val acquire : t -> Lock.cls -> unit

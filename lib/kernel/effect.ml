@@ -5,7 +5,7 @@
    effect trace. The pure checking core here backs three consumers:
    the static effect-drift pass ([Healer_analysis.Effects]), the
    Eraser-style lockset race detector ([Healer_analysis.Races]) and
-   the runtime validator in [Kernel.exec_call] (the same
+   the runtime validator in [Kernel.exec_prepared] (the same
    HEALER_DEBUG_VALIDATE contract as Progcheck and lockdep).
 
    Like the lock model, everything is simulator-shaped: the kernel is

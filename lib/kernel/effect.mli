@@ -7,7 +7,7 @@
     effect trace. The pure checkers here back the static effect-drift
     pass, the Eraser-style lockset race detector, the
     write→read relation-inference pass, and the runtime validator in
-    [Kernel.exec_call] (same [HEALER_DEBUG_VALIDATE] contract as
+    [Kernel.exec_prepared] (same [HEALER_DEBUG_VALIDATE] contract as
     Progcheck and lockdep). *)
 
 (** {1 Specs and models} *)

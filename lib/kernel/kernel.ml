@@ -294,56 +294,11 @@ let force_init () =
 
 let blk = Coverage.region ~name:"core" ~size:64
 
-let exec_call k ?(fault = false) ~cov (call : Syscall.t) args =
-  let ctx = Ctx.make ~features:k.features ~st:k.st ~san:k.san cov in
-  ctx.Ctx.fault_pending <- fault;
-  State.reset_effect_trace k.st;
-  ignore (State.tick k.st);
-  Coverage.hit cov (blk + 0);
-  match Hashtbl.find_opt (Lazy.force handler_table) call.Syscall.name with
-  | None ->
-    Coverage.hit cov (blk + 1);
-    Ctx.err Errno.ENOSYS
-  | Some h ->
-    (* A fault-injected allocation failure short-circuits the call
-       itself with ENOMEM on a dedicated branch when the handler has
-       not consumed the fault explicitly. *)
-    let r = h ctx args in
-    (* Runtime lockdep (the HEALER_DEBUG_VALIDATE contract): the trace
-       this call actually recorded must match the handler's declared
-       spec and the global order graph — the static model can never
-       drift from handler behavior. Skipped when a Crash aborted the
-       call ([Fun.protect] in [Ctx.with_lock] still released
-       everything). *)
-    if Lock.validate_enabled () then begin
-      match
-        Lock.check_trace (lock_model ())
-          ~subsystem:(subsystem_of call.Syscall.name)
-          ~handler:call.Syscall.name (Ctx.lock_trace ctx)
-      with
-      | [] -> ()
-      | f :: _ -> raise (Lock.Violation f)
-    end;
-    (* Same contract for the observed effect trace: every state slot
-       this call read or wrote must appear in the handler's declared
-       effect spec. *)
-    if Effect.validate_enabled () then
-      check_effect_trace k.st
-        ~sub:(subsystem_of call.Syscall.name)
-        ~handler:call.Syscall.name;
-    if Ctx.take_fault ctx then begin
-      Coverage.hit cov (blk + 2);
-      Ctx.err Errno.ENOMEM
-    end
-    else r
+(* ---- prepared execution ---- *)
 
-(* ---- prepared (compiled) execution ---- *)
-
-(* A call with its dispatch pre-resolved: the compiled executor looks
-   the handler and owning subsystem up once per program instead of
-   hashing the syscall name on every execution. Must stay in lockstep
-   with [exec_call] — the HEALER_DEBUG_VALIDATE differential oracle in
-   the executor compares the two paths call-for-call. *)
+(* A call with its dispatch pre-resolved: the executor looks the
+   handler and owning subsystem up once per program instead of
+   hashing the syscall name on every execution. *)
 type prepared = {
   p_name : string;
   p_sub : string;  (* owning subsystem, for the lockdep validator *)
@@ -372,7 +327,16 @@ let exec_prepared k ~ctx ?(fault = false) prep args =
     Coverage.hit cov (blk + 1);
     Ctx.err Errno.ENOSYS
   | Some h ->
+    (* A fault-injected allocation failure short-circuits the call
+       itself with ENOMEM on a dedicated branch when the handler has
+       not consumed the fault explicitly. *)
     let r = h ctx args in
+    (* Runtime lockdep (the HEALER_DEBUG_VALIDATE contract): the trace
+       this call actually recorded must match the handler's declared
+       spec and the global order graph — the static model can never
+       drift from handler behavior. Skipped when a Crash aborted the
+       call ([Fun.protect] in [Ctx.with_lock] still released
+       everything). *)
     if Lock.validate_enabled () then begin
       match
         Lock.check_trace (lock_model ()) ~subsystem:prep.p_sub
@@ -381,6 +345,9 @@ let exec_prepared k ~ctx ?(fault = false) prep args =
       | [] -> ()
       | f :: _ -> raise (Lock.Violation f)
     end;
+    (* Same contract for the observed effect trace: every state slot
+       this call read or wrote must appear in the handler's declared
+       effect spec. *)
     if Effect.validate_enabled () then
       check_effect_trace k.st ~sub:prep.p_sub ~handler:prep.p_name;
     if Ctx.take_fault ctx then begin

@@ -94,32 +94,12 @@ val effect_counts : t -> (string * int * int) list
     {!Effect.hooks_enabled} was off. The observed-access signal behind
     [healer analyze --effects]. *)
 
-val exec_call :
-  t ->
-  ?fault:bool ->
-  cov:Coverage.t ->
-  Healer_syzlang.Syscall.t ->
-  Arg.t list ->
-  Ctx.result
-(** Execute one call against the kernel. Coverage lands in [cov]
-    (caller resets it between calls). [fault] injects an allocation
-    failure into this call. May raise {!Crash.Crash}. Unknown syscall
-    names return [ENOSYS]. Under {!Lock.validate_enabled} the call's
-    recorded lock-acquisition trace is checked against its declared
-    spec and the order graph; a divergence raises {!Lock.Violation}.
-    Likewise under {!Effect.validate_enabled} the observed state-slot
-    access trace must be covered by the handler's declared
-    {!Effect.spec}; drift raises {!Effect.Violation}. *)
+(** {2 Execution}
 
-(** {2 Prepared (compiled) execution}
-
-    The compiled executor resolves each call's dispatch once per
-    program: {!prepare} performs the handler-table and subsystem
-    lookups that {!exec_call} would repeat per execution, and
+    The executor resolves each call's dispatch once per program:
+    {!prepare} performs the handler-table and subsystem lookups, and
     {!exec_prepared} runs a prepared call through a recycled
-    {!Ctx.t} with no per-call allocation. The two entry points must
-    behave identically — the executor's HEALER_DEBUG_VALIDATE
-    differential oracle compares them run-for-run. *)
+    {!Ctx.t} with no per-call allocation. *)
 
 type prepared
 (** A syscall with its handler and owning subsystem pre-resolved.
@@ -134,12 +114,17 @@ val make_ctx : t -> Coverage.t -> Ctx.t
 
 val exec_prepared :
   t -> ctx:Ctx.t -> ?fault:bool -> prepared -> Arg.t list -> Ctx.result
-(** Execute one prepared call. [ctx] must come from {!make_ctx} on
-    this kernel (it is {!Ctx.recycle}d first; coverage lands in its
-    collector, which the caller resets between calls). Semantics are
-    exactly {!exec_call}'s: may raise {!Crash.Crash}, unknown names
-    return [ENOSYS], lock traces are validated under
-    {!Lock.validate_enabled}. *)
+(** Execute one prepared call against the kernel. [ctx] must come
+    from {!make_ctx} on this kernel (it is {!Ctx.recycle}d first;
+    coverage lands in its collector, which the caller resets between
+    calls). [fault] injects an allocation failure into this call. May
+    raise {!Crash.Crash}. Unknown syscall names return [ENOSYS]. Under
+    {!Lock.validate_enabled} the call's recorded lock-acquisition
+    trace is checked against its declared spec and the order graph; a
+    divergence raises {!Lock.Violation}. Likewise under
+    {!Effect.validate_enabled} the observed state-slot access trace
+    must be covered by the handler's declared {!Effect.spec}; drift
+    raises {!Effect.Violation}. *)
 
 val coredump : t -> cov:Coverage.t -> unit
 (** Run the core-dump path, entered after a fault-injected call kills

@@ -2,7 +2,7 @@
    (ranks), the shared-state slots each class guards, per-handler
    declared lock specs, and the pure checking core behind both the
    static lockdep pass ([Healer_analysis.Lockdep]) and the runtime
-   validator in [Kernel.exec_call].
+   validator in [Kernel.exec_prepared].
 
    The model is deliberately simulator-shaped: the simulated kernel is
    single-threaded, so locks never block — acquire/release hooks only

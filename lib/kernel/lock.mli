@@ -2,7 +2,7 @@
     the shared-state slots each class guards, per-handler declared lock
     specs, and the checking core shared by the static lockdep pass
     ([Healer_analysis.Lockdep]) and the runtime validator in
-    {!Kernel.exec_call}.
+    {!Kernel.exec_prepared}.
 
     The simulated kernel is single-threaded, so acquire/release never
     block: the hooks account lock-pair coverage and (under debug
@@ -68,7 +68,7 @@ type model = {
 type finding = { check : string; subject : string; msg : string }
 
 exception Violation of finding
-(** Raised by the runtime validator in {!Kernel.exec_call} (never by
+(** Raised by the runtime validator in {!Kernel.exec_prepared} (never by
     the pure checkers below). *)
 
 val check_model :

@@ -1,7 +1,11 @@
 (* The whole suite runs with program validation enforced: any stage
    that emits a validator-dirty program fails loudly (the
-   HEALER_DEBUG_VALIDATE contract). *)
-let () = Healer_executor.Progcheck.set_debug true
+   HEALER_DEBUG_VALIDATE contract). With the reference interpreter
+   installed, every execution is also replayed through it and must
+   agree bit for bit. *)
+let () =
+  Healer_executor.Progcheck.set_debug true;
+  Healer_executor.Exec.set_reference (Some Reference.replay)
 
 let () =
   Alcotest.run "healer"

@@ -1,15 +1,19 @@
-(* The compiled execution engine: lowering a program once and patching
-   resource slots must be observationally identical to the interpreter
-   — results, coverage, crashes and lock accounting — across
-   generation, mutation, minimization shapes, fault injection, every
-   catalog reproducer, and the prefix cache's compiled-call reuse. *)
+(* The execution engine against the reference interpreter
+   (reference.ml): lowering a program once and patching resource slots
+   must be observationally identical to resolving every argument per
+   call — results, coverage, crashes and lock accounting — across
+   generation, mutation, minimization shapes, fault injection, the
+   seed corpus, every catalog reproducer, and the prefix cache's
+   compiled-call reuse. The suite also runs with the reference
+   installed as the executor's oracle (main.ml); the last test checks
+   that the oracle is armed. *)
 
 module Prog = Healer_executor.Prog
 module Value = Healer_executor.Value
 module Compiled = Healer_executor.Compiled
 module Exec = Healer_executor.Exec
 module Exec_cache = Healer_executor.Exec_cache
-module Vm = Healer_executor.Vm
+module Progcheck = Healer_executor.Progcheck
 module Target = Healer_syzlang.Target
 module Rng = Healer_util.Rng
 module K = Healer_kernel
@@ -25,8 +29,8 @@ let gen_prog seed =
 (* Full structural run, for bit-identical comparison: the result
    record (retvals, errnos, per-call coverage in first-hit order,
    crash report) plus the kernel's lock-pair counters. *)
-let observe_interp ?fault_call p =
-  let kernel, r = Exec.run ?fault_call (boot ()) p in
+let observe_reference ?fault_call p =
+  let kernel, r = Reference.run ?fault_call (boot ()) p in
   (r, K.Kernel.lock_pair_counts kernel)
 
 let observe_compiled ?fault_call c =
@@ -46,48 +50,21 @@ let test_gen_mutate_differential =
       for _ = 1 to muts do
         p := Mutate.mutate rng t ~select !p
       done;
-      observe_interp !p = observe_compiled (Compiled.compile !p))
+      observe_reference !p = observe_compiled (Compiled.compile !p))
 
-(* Minimization probes: every single-call removal of a program, run
-   compiled via the derived form (sharing the parent's skeletons). *)
+(* Minimization probes: every single-call removal of a program. *)
 let test_minimize_shapes =
   qcheck ~count:40 "compiled removal probes ≡ interpreted"
     QCheck2.Gen.small_int
     (fun seed ->
       let p = gen_prog seed in
-      let c = Compiled.compile p in
       let n = Prog.length p in
       n <= 1
       || List.for_all
            (fun pos ->
-             observe_interp (Prog.remove p pos)
-             = observe_compiled (Compiled.remove c pos))
+             let q = Prog.remove p pos in
+             observe_reference q = observe_compiled (Compiled.compile q))
            (List.init n Fun.id))
-
-(* Derived compiled forms are indistinguishable from recompiling the
-   edited program — both in the program they carry and in execution. *)
-let test_derived_forms =
-  qcheck ~count:40 "derived forms ≡ recompilation" QCheck2.Gen.small_int
-    (fun seed ->
-      let p = gen_prog seed in
-      let n = Prog.length p in
-      if n = 0 then true
-      else begin
-        let c = Compiled.compile p in
-        let rng = Rng.create (seed + 77) in
-        let at = Rng.int rng (n + 1) in
-        let nc = Builder.make_call rng (tgt ()) p ~at (Prog.call p (Rng.int rng n)).Prog.syscall in
-        let agree derived edited =
-          Compiled.prog derived = edited
-          && observe_compiled derived = observe_compiled (Compiled.compile edited)
-        in
-        let rm = Rng.int rng n in
-        let cut = Rng.int rng (n + 1) in
-        agree (Compiled.insert c at nc) (Prog.insert p at nc)
-        && agree (Compiled.append c nc) (Prog.append p nc)
-        && agree (Compiled.remove c rm) (Prog.remove p rm)
-        && agree (Compiled.sub c cut) (Prog.sub p cut)
-      end)
 
 (* Fault injection goes through the compiled path's coredump branch. *)
 let test_fault_differential =
@@ -98,9 +75,20 @@ let test_fault_differential =
       if Prog.length p = 0 then true
       else begin
         let fc = fc mod Prog.length p in
-        observe_interp ~fault_call:fc p
+        observe_reference ~fault_call:fc p
         = observe_compiled ~fault_call:fc (Compiled.compile p)
       end)
+
+(* The whole seed corpus — the strace-style traces and Moonshine's
+   distilled seeds — runs bit-identically on both. *)
+let test_seed_corpus_differential () =
+  let t = tgt () in
+  List.iter
+    (fun p ->
+      if observe_reference p <> observe_compiled (Compiled.compile p) then
+        Alcotest.failf "compiled engine diverged from the reference on:@.%s"
+          (Prog.to_string p))
+    (Seeds.traces t @ Seeds.distilled t)
 
 (* Every catalog reproducer — crashing programs, feature-gated
    subsystems, fault-triggered bugs — behaves identically compiled. *)
@@ -112,7 +100,7 @@ let test_repros_differential () =
         boot ~version:rp.Bug_repros.version ~features:rp.Bug_repros.features ()
       in
       let fault_call = rp.Bug_repros.fault_call in
-      let ki, ri = Exec.run ?fault_call (boot ()) p in
+      let ki, ri = Reference.run ?fault_call (boot ()) p in
       let kc, rc = Exec.run_compiled ?fault_call (boot ()) (Compiled.compile p) in
       if ri <> rc then
         Alcotest.failf "engine divergence on reproducer %s" rp.Bug_repros.key;
@@ -121,36 +109,9 @@ let test_repros_differential () =
           rp.Bug_repros.key)
     Bug_repros.all
 
-(* The prefix cache serves identical results whichever engine runs
-   underneath, across re-runs and removal variants (snapshot resume +
-   compiled-prefix reuse paths included). *)
-let test_cache_engines_agree =
-  qcheck ~count:25 "cached runs identical across engines"
-    QCheck2.Gen.small_int
-    (fun seed ->
-      let p = gen_prog seed in
-      let variants =
-        p
-        :: (if Prog.length p <= 1 then []
-            else List.init (Prog.length p) (fun pos -> Prog.remove p pos))
-      in
-      let saved = Exec.compiled_enabled () in
-      Fun.protect ~finally:(fun () -> Exec.set_compiled saved) @@ fun () ->
-      let with_engine flag =
-        Exec.set_compiled flag;
-        let cache = Exec_cache.create ~version:K.Version.V5_11 () in
-        List.concat_map
-          (fun q -> [ Exec_cache.run cache q; Exec_cache.run cache q ])
-          variants
-      in
-      with_engine true = with_engine false)
-
 (* Compiled-call reuse in the trie: a probe sharing a prefix with an
    earlier run re-lowers only its new suffix. *)
 let test_cache_ccall_reuse () =
-  let saved = Exec.compiled_enabled () in
-  Fun.protect ~finally:(fun () -> Exec.set_compiled saved) @@ fun () ->
-  Exec.set_compiled true;
   let cache = Exec_cache.create ~version:K.Version.V5_11 () in
   let p =
     prog
@@ -175,18 +136,38 @@ let test_cache_ccall_reuse () =
   Alcotest.(check int) "shared prefix reused" 1 st.Exec_cache.reused_ccalls;
   Alcotest.(check int) "suffix lowered" 4 st.Exec_cache.compiled_calls
 
-(* The VM consults the engine toggle per run; both engines drive
-   identical campaign-visible results through it. *)
-let test_vm_engines_agree () =
-  let saved = Exec.compiled_enabled () in
-  Fun.protect ~finally:(fun () -> Exec.set_compiled saved) @@ fun () ->
-  let with_engine flag =
-    Exec.set_compiled flag;
-    let vm = Vm.create ~version:K.Version.V5_11 ~id:0 () in
-    List.map (fun seed -> Vm.run vm (gen_prog seed)) [ 3; 11; 27; 40; 55 ]
+(* The oracle is live: a reference that disagrees on one retval makes
+   both run entry points fail with the divergence message. *)
+let test_oracle_armed () =
+  let tampered ?fault_call ~prefix kernel p =
+    let r = Reference.replay ?fault_call ~prefix kernel p in
+    let c0 = r.Exec.calls.(0) in
+    r.Exec.calls.(0) <- { c0 with Exec.retval = Int64.succ c0.Exec.retval };
+    r
   in
-  Alcotest.(check bool) "identical run results" true
-    (with_engine true = with_engine false)
+  let p = prog [ call "open" [ s "/etc/passwd"; i 0L; i 0L ] ] in
+  let diverges what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: a diverging reference went unnoticed" what
+    | exception Failure msg ->
+      let prefix =
+        "HEALER_DEBUG_VALIDATE: " ^ what
+        ^ " diverged from the reference interpreter"
+      in
+      Alcotest.(check bool) (what ^ " reports the divergence") true
+        (String.starts_with ~prefix msg)
+  in
+  let debug = Progcheck.debug_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Exec.set_reference (Some Reference.replay);
+      Progcheck.set_debug debug)
+  @@ fun () ->
+  Progcheck.set_debug true;
+  Exec.set_reference (Some tampered);
+  diverges "run" (fun () -> Exec.run (boot ()) p);
+  diverges "run_from_compiled" (fun () ->
+      Exec.run_from_compiled ~prefix:[||] (boot ()) (Compiled.compile p))
 
 (* ---- Prog satellite: builder and early-exit predicates ---- *)
 
@@ -261,12 +242,11 @@ let suite =
   [
     test_gen_mutate_differential;
     test_minimize_shapes;
-    test_derived_forms;
     test_fault_differential;
+    case "seed corpus agrees with the reference" test_seed_corpus_differential;
     case "catalog reproducers agree across engines" test_repros_differential;
-    test_cache_engines_agree;
     case "trie reuses compiled calls" test_cache_ccall_reuse;
-    case "VM engine toggle" test_vm_engines_agree;
+    case "reference oracle is armed" test_oracle_armed;
     test_builder_equiv;
     test_predicates;
   ]

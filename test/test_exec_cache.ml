@@ -5,6 +5,7 @@
 module Prog = Healer_executor.Prog
 module Exec = Healer_executor.Exec
 module Exec_cache = Healer_executor.Exec_cache
+module Compiled = Healer_executor.Compiled
 module Serializer = Healer_executor.Serializer
 module Target = Healer_syzlang.Target
 module Rng = Healer_util.Rng
@@ -60,7 +61,9 @@ let test_run_from_equiv =
             let kernel, r = Exec.run kernel (Prog.sub p k) in
             (kernel, Array.sub r.Exec.calls 0 k)
         in
-        let _, resumed = Exec.run_from ~prefix:pre kernel p in
+        let _, resumed =
+          Exec.run_from_compiled ~prefix:pre kernel (Compiled.compile p)
+        in
         same_result "run_from" full resumed
       end)
 

@@ -134,8 +134,9 @@ let test_exec_call_enosys () =
      one from a private target. *)
   let t = Target.of_string "phantom(a int32)" in
   let k = boot () in
-  let cov = K.Coverage.create () in
-  let r = K.Kernel.exec_call k ~cov (Target.find_exn t "phantom") [ K.Arg.Int 0L ] in
+  let ctx = K.Kernel.make_ctx k (K.Coverage.create ()) in
+  let prep = K.Kernel.prepare (Target.find_exn t "phantom") in
+  let r = K.Kernel.exec_prepared k ~ctx prep [ K.Arg.Int 0L ] in
   Alcotest.(check (option string)) "ENOSYS" (Some "ENOSYS")
     (Option.map K.Errno.to_string r.K.Ctx.err)
 

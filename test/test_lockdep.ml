@@ -418,7 +418,7 @@ let test_seed_corpus_validates () =
 
 (* A spec that lies about its handler is caught at runtime: drive a
    locked handler while its declared spec is absent from the model
-   under test via check_trace (the same code path exec_call uses). *)
+   under test via check_trace (the same code path exec_prepared uses). *)
 let test_runtime_catches_drift () =
   let m = clean_model () in
   let trace =
