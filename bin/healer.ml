@@ -63,14 +63,8 @@ let seed_arg =
 (* Turn the library's typed failures into one-line CLI errors. *)
 let or_die f =
   try f () with
-  | Persist.Corrupt msg ->
-    Fmt.epr "error: corrupt state file (%s)@." msg;
-    exit 1
-  | Healer_service.Checkpoint.Malformed msg ->
-    Fmt.epr "error: corrupt checkpoint (%s)@." msg;
-    exit 1
-  | Healer_service.Shard_state.Malformed msg ->
-    Fmt.epr "error: corrupt campaign state (%s)@." msg;
+  | Healer_util.Codec.Malformed { format; offset; reason } ->
+    Fmt.epr "error: corrupt %s at byte %d (%s)@." format offset reason;
     exit 1
   | Failure msg ->
     Fmt.epr "error: %s@." msg;
@@ -295,12 +289,6 @@ let compare_cmd =
       const run_compare $ tool_arg $ base_arg $ version_arg $ hours_arg
       $ seed_arg $ rounds_arg $ jobs_arg)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* The built-in corpus (with handler drift checks) or a standalone
    description file. Parse/compile failures of a file are reported as
    diagnostics by [Analysis.of_source], not raised. *)
@@ -308,7 +296,7 @@ let analysis_input file =
   or_die (fun () ->
       match file with
       | None -> Analysis.of_kernel ()
-      | Some path -> Analysis.of_source ~name:path (read_file path))
+      | Some path -> Analysis.of_source ~name:path (Persist.read_file path))
 
 let file_pos_arg =
   Arg.(

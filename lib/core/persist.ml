@@ -1,40 +1,24 @@
-module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
-
-exception Corrupt of string
+module Codec = Healer_util.Codec
 
 let magic = "HLRDB1\n"
 
 let corpus_to_string progs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
-  List.iter
-    (fun p ->
-      let encoded = Serializer.encode p in
-      Serializer.put_uvarint buf (Int64.of_int (String.length encoded));
-      Buffer.add_string buf encoded)
-    progs;
+  List.iter (fun p -> Codec.put_string buf (Serializer.encode p)) progs;
   Buffer.contents buf
 
 let corpus_of_string target s =
-  let n = String.length s in
-  if n < String.length magic || String.sub s 0 (String.length magic) <> magic then
-    raise (Corrupt "bad corpus magic");
-  let pos = ref (String.length magic) in
-  let progs = ref [] in
-  (try
-     while !pos < n do
-       let len = Int64.to_int (Serializer.get_uvarint s pos) in
-       (* [len > n - !pos] rather than [!pos + len > n]: a hostile
-          varint near [max_int] would overflow the addition and slip
-          past the bound. *)
-       if len < 0 || len > n - !pos then raise (Corrupt "truncated entry");
-       let entry = String.sub s !pos len in
-       pos := !pos + len;
-       progs := Serializer.decode target entry :: !progs
-     done
-   with Serializer.Malformed msg -> raise (Corrupt msg));
-  List.rev !progs
+  let rec entries acc r =
+    if Codec.at_end r then List.rev acc
+    else entries (Codec.sub r (Serializer.read target) :: acc) r
+  in
+  Codec.decode ~format:"corpus"
+    (fun r ->
+      Codec.magic r magic;
+      entries [] r)
+    s
 
 (* All persisted state goes through write-to-temp-then-rename: a crash
    mid-write leaves the previous file intact (the temp is garbage the
@@ -51,18 +35,13 @@ let write_atomic ~path contents =
      raise e);
   Sys.rename tmp path
 
-let write_file path contents = write_atomic ~path contents
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let save_corpus ~path progs = write_file path (corpus_to_string progs)
+let save_corpus ~path progs = write_atomic ~path (corpus_to_string progs)
 let load_corpus target ~path = corpus_of_string target (read_file path)
-let save_relations ~path table = write_file path (Relation_table.serialize table)
-
-let load_relations ~path =
-  try Relation_table.deserialize (read_file path)
-  with Relation_table.Malformed msg -> raise (Corrupt msg)
+let save_relations ~path table = write_atomic ~path (Relation_table.serialize table)
+let load_relations ~path = Relation_table.deserialize (read_file path)

@@ -63,10 +63,7 @@ val pp_stats : Format.formatter -> t -> unit
 
 val serialize : t -> string
 
-exception Malformed of string
-(** Raised by {!deserialize} on any malformed input: bad header,
-    unparsable or out-of-range pair, or an implausible table size
-    (checkpoint/resume can feed it files cut off mid-write). *)
-
 val deserialize : string -> t
-(** Raises {!Malformed} on malformed input. *)
+(** Raises {!Healer_util.Codec.Malformed} (format ["relations"], at
+    the offset of the offending line) on a bad header, an unparsable
+    or out-of-range pair, or a table size above 4 096. *)

@@ -13,7 +13,7 @@ type stats = {
 }
 
 (* One trie node per cached call prefix; the edge label is the call's
-   wire encoding ([Serializer.encode_call]), so the cache key is
+   wire encoding ([Serializer.put_call]), so the cache key is
    exactly (boot config, encoded call prefix). [result] is the
    call_result of the prefix's last call; walking a path therefore
    reconstructs the whole per-call result array. [snap] — when present

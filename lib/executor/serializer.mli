@@ -2,33 +2,26 @@
 
     This is the analogue of HEALER's ivshmem wire format: the fuzzer
     serializes each test case into a compact byte string that the
-    in-guest executor decodes. Integers use LEB128 varints (zigzag for
+    in-guest executor decodes. The magic ["HLR1"], a call count, then
+    per call the syscall id, an argument count and one tagged value
+    per argument, all as {!Healer_util.Codec} varints (zigzag for
     signed payloads); the encoding is self-delimiting. *)
-
-exception Malformed of string
 
 val encode : Prog.t -> string
 
-val encode_call : Prog.call -> string
-(** Wire encoding of a single call (the per-call slice of {!encode},
-    without the program header). The execution cache keys its prefix
-    trie on these strings, so two calls compare equal exactly when
-    their serialized forms do. *)
-
 val put_call : Buffer.t -> Prog.call -> unit
-(** [encode_call] into a caller-provided buffer (not cleared first) —
-    lets the execution cache reuse one scratch buffer per probe. *)
+(** Wire encoding of a single call (the per-call slice of {!encode},
+    without the program header), appended to a caller-provided buffer.
+    The execution cache keys its prefix trie on these bytes, so two
+    calls compare equal exactly when their serialized forms do. *)
 
 val decode : Healer_syzlang.Target.t -> string -> Prog.t
-(** Raises {!Malformed} on truncated or corrupt input, or when a
-    syscall id does not exist in [target]. When
-    {!Progcheck.debug_enabled} is set, additionally raises
-    {!Malformed} if the decoded program has {!Progcheck} errors:
-    well-formed bytes encoding a type-invalid program are still
-    malformed input. *)
+(** Raises {!Healer_util.Codec.Malformed} (format ["program"]) on
+    truncated or corrupt input, or when a syscall id does not exist in
+    [target]. When {!Progcheck.debug_enabled} is set, it also rejects
+    a decoded program that has {!Progcheck} errors: well-formed bytes
+    encoding a type-invalid program are still malformed input. *)
 
-val put_uvarint : Buffer.t -> int64 -> unit
-(** Exposed for tests. *)
-
-val get_uvarint : string -> int ref -> int64
-(** Exposed for tests. Raises {!Malformed}. *)
+val read : Healer_syzlang.Target.t -> Healer_util.Codec.reader -> Prog.t
+(** {!decode} as a schema over a reader, for formats that nest
+    programs: errors carry the outer format and file offsets. *)

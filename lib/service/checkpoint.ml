@@ -1,8 +1,9 @@
+module Codec = Healer_util.Codec
 module Fuzzer = Healer_core.Fuzzer
 module Persist = Healer_core.Persist
 module Version = Healer_kernel.Version
 
-exception Malformed of string
+exception Malformed = Codec.Malformed
 
 type config = {
   tool : Fuzzer.tool;
@@ -32,68 +33,48 @@ let to_string t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   Buffer.add_char buf format_version;
-  Wire.put_str buf (Fuzzer.tool_name t.config.tool);
-  Wire.put_str buf (Version.to_string t.config.version);
-  Wire.put_int buf t.config.jobs;
-  Wire.put_int buf t.config.base_seed;
-  Wire.put_int buf t.config.epochs;
-  Wire.put_float buf t.config.slice;
-  Wire.put_int buf t.completed;
-  Wire.put_str buf (Shard_state.to_string t.prev);
-  Buffer.add_string buf
-    (Shard_state.to_string (Shard_state.diff ~since:t.prev t.state));
+  Codec.put_string buf (Fuzzer.tool_name t.config.tool);
+  Codec.put_string buf (Version.to_string t.config.version);
+  Codec.put_uint buf t.config.jobs;
+  Codec.put_uint buf t.config.base_seed;
+  Codec.put_uint buf t.config.epochs;
+  Codec.put_float buf t.config.slice;
+  Codec.put_uint buf t.completed;
+  Codec.put_string buf (Shard_state.to_string t.prev);
+  Shard_state.put_state buf (Shard_state.diff ~since:t.prev t.state);
   Buffer.contents buf
 
-let tool_of_name name =
-  List.find_opt
-    (fun t -> String.equal (Fuzzer.tool_name t) name)
-    Fuzzer.all_tools
-
-let of_string target s =
-  let wrap f =
-    try f () with
-    | Wire.Malformed msg -> raise (Malformed msg)
-    | Shard_state.Malformed msg -> raise (Malformed msg)
-  in
-  wrap @@ fun () ->
-  let mlen = String.length magic in
-  if String.length s < mlen + 1 || not (String.equal (String.sub s 0 mlen) magic)
-  then raise (Malformed "bad checkpoint magic");
-  if s.[mlen] <> format_version then
-    raise
-      (Malformed
-         (Printf.sprintf "unsupported checkpoint format version %d"
-            (Char.code s.[mlen])));
-  let pos = ref (mlen + 1) in
-  let tool_name = Wire.get_str s pos in
+let read target r =
+  Codec.magic r magic;
+  let at = Codec.offset r in
+  let v = Codec.byte r in
+  if v <> Char.code format_version then
+    Codec.fail ~at r (Printf.sprintf "unsupported checkpoint format version %d" v);
   let tool =
-    match tool_of_name tool_name with
-    | Some t -> t
-    | None -> raise (Malformed (Printf.sprintf "unknown tool %S" tool_name))
+    Codec.named r "tool" (fun name ->
+        List.find_opt
+          (fun t -> String.equal (Fuzzer.tool_name t) name)
+          Fuzzer.all_tools)
   in
-  let version_name = Wire.get_str s pos in
-  let version =
-    match Version.of_string version_name with
-    | Some v -> v
-    | None ->
-      raise (Malformed (Printf.sprintf "unknown kernel version %S" version_name))
-  in
-  let jobs = Wire.get_int s pos in
-  let base_seed = Wire.get_int s pos in
-  let epochs = Wire.get_int s pos in
-  let slice = Wire.get_float s pos in
-  let completed = Wire.get_int s pos in
-  if jobs < 1 || epochs < 0 || completed < 0 || completed > epochs then
-    raise (Malformed "implausible campaign configuration");
-  let prev = Shard_state.of_string target (Wire.get_str s pos) in
-  let incr = Shard_state.of_string target (Wire.get_all s pos) in
-  let state = Shard_state.merge prev incr in
+  let version = Codec.named r "kernel version" Version.of_string in
+  let at = Codec.offset r in
+  let jobs = Codec.uint r in
+  let base_seed = Codec.uint r in
+  let epochs = Codec.uint r in
+  let slice = Codec.float r in
+  let completed = Codec.uint r in
+  if jobs < 1 || completed > epochs then
+    Codec.fail ~at r "implausible campaign configuration";
+  let prev = Codec.sub r (Shard_state.read target) in
+  let state = Shard_state.merge prev (Shard_state.read target r) in
   {
     config = { tool; version; jobs; base_seed; epochs; slice };
     completed;
     state;
     prev;
   }
+
+let of_string target s = Codec.decode ~format:"checkpoint" (read target) s
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -106,17 +87,11 @@ let save ~dir t =
   mkdir_p dir;
   Persist.write_atomic ~path:(file dir) (to_string t)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load target ~path =
   let path =
     if Sys.file_exists path && Sys.is_directory path then file path else path
   in
-  of_string target (read_file path)
+  of_string target (Persist.read_file path)
 
 let merge a b =
   if a.config.tool <> b.config.tool || a.config.version <> b.config.version then

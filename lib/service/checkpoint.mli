@@ -11,9 +11,10 @@
     older as a full canonical state blob, the newer as its
     {!Shard_state.diff} (reconstructed by merge on load). *)
 
-exception Malformed of string
-(** Truncated or corrupt checkpoint files (including unsupported
-    format versions). *)
+exception Malformed of { format : string; offset : int; reason : string }
+(** The same exception as {!Healer_util.Codec.Malformed}, under its
+    old name for callers that still match it here. Match
+    [Codec.Malformed] in new code. *)
 
 type config = {
   tool : Healer_core.Fuzzer.tool;
@@ -41,15 +42,18 @@ val file : string -> string
 val to_string : t -> string
 
 val of_string : Healer_syzlang.Target.t -> string -> t
-(** Raises {!Malformed}. *)
+(** Raises {!Healer_util.Codec.Malformed} (format ["checkpoint"]) on
+    truncated or corrupt input, including unsupported format
+    versions, unknown tools or kernel versions, and an implausible
+    configuration. *)
 
 val save : dir:string -> t -> unit
 (** Creates [dir] if needed; the write is atomic. *)
 
 val load : Healer_syzlang.Target.t -> path:string -> t
 (** [path] may be the campaign directory or the checkpoint file
-    itself. Raises {!Malformed} on corrupt contents, [Sys_error] when
-    unreadable. *)
+    itself. Raises {!Healer_util.Codec.Malformed} on corrupt contents,
+    [Sys_error] when unreadable. *)
 
 val merge : t -> t -> t
 (** CRDT join of two checkpoints of the same campaign lineage: states

@@ -208,9 +208,7 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
     let h = get_handle shard in
     match
       Wire.send h.ep_out Wire.Epoch (fun buf ->
-          Wire.put_int buf e;
-          Wire.put_int buf ver.(shard);
-          Buffer.add_string buf blob)
+          Shard_state.put_epoch buf ~epoch:e ~version:ver.(shard) blob)
     with
     | () ->
       ver.(shard) <- ver.(shard) + 1;
@@ -356,9 +354,10 @@ let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
                   budget.(shard) <- max_respawns_per_epoch;
                   dispatched.(shard) <- false
                 | _ -> respawn ~shard (* protocol desync *)
-                | exception Shard_state.Malformed _ -> respawn ~shard)
+                | exception Healer_util.Codec.Malformed _ -> respawn ~shard)
               | (Wire.Epoch | Wire.Quit), _ -> respawn ~shard
-              | exception (End_of_file | Wire.Malformed _) -> respawn ~shard)
+              | exception (End_of_file | Healer_util.Codec.Malformed _) ->
+                respawn ~shard)
           readable;
         advance_fronts ()
       done;

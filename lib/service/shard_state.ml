@@ -1,12 +1,12 @@
 module Bitset = Healer_util.Bitset
+module Codec = Healer_util.Codec
 module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
 module Target = Healer_syzlang.Target
+module Coverage = Healer_kernel.Coverage
 module Risk = Healer_kernel.Risk
 module Relation_table = Healer_core.Relation_table
 module Triage = Healer_core.Triage
-
-exception Malformed of string
 
 type t = {
   n_syscalls : int;
@@ -164,62 +164,46 @@ let diff ~since:base t =
 (* ---- canonical serialization ---- *)
 
 let put_crash buf (r : Triage.record) =
-  Wire.put_str buf r.Triage.bug_key;
-  Wire.put_str buf r.Triage.signature;
-  Wire.put_str buf (Risk.to_string r.Triage.risk);
-  Wire.put_float buf r.Triage.first_found;
-  Wire.put_str buf (Serializer.encode r.Triage.reproducer)
+  Codec.put_string buf r.Triage.bug_key;
+  Codec.put_string buf r.Triage.signature;
+  Codec.put_string buf (Risk.to_string r.Triage.risk);
+  Codec.put_float buf r.Triage.first_found;
+  Codec.put_string buf (Serializer.encode r.Triage.reproducer)
+
+let put_pair buf (a, b) =
+  Codec.put_uint buf a;
+  Codec.put_uint buf b
 
 let put_state buf t =
   let t = canonical t in
-  Wire.put_int buf t.n_syscalls;
-  let edges = Relation_table.edges t.relations in
-  Wire.put_int buf (List.length edges);
-  List.iter
-    (fun (i, j) ->
-      Wire.put_int buf i;
-      Wire.put_int buf j)
-    edges;
+  Codec.put_uint buf t.n_syscalls;
+  Codec.put_list put_pair buf (Relation_table.edges t.relations);
   let cov = Bitset.elements t.coverage in
-  Wire.put_int buf (List.length cov);
+  Codec.put_uint buf (List.length cov);
   (* Ascending ids, delta-encoded: small varints. *)
   ignore
     (List.fold_left
        (fun prev id ->
-         Wire.put_int buf (id - prev);
+         Codec.put_uint buf (id - prev);
          id)
        0 cov);
-  Wire.put_int buf (List.length t.corpus);
-  List.iter (fun (_, p) -> Wire.put_str buf (Serializer.encode p)) t.corpus;
-  Wire.put_int buf (List.length t.crashes);
-  List.iter (put_crash buf) t.crashes;
-  Wire.put_int buf (List.length t.execs);
-  List.iter
-    (fun (shard, n) ->
-      Wire.put_int buf shard;
-      Wire.put_int buf n)
-    t.execs
+  Codec.put_list
+    (fun buf (_, p) -> Codec.put_string buf (Serializer.encode p))
+    buf t.corpus;
+  Codec.put_list put_crash buf t.crashes;
+  Codec.put_list put_pair buf t.execs
 
 let to_string t =
   let buf = Buffer.create 4096 in
   put_state buf t;
   Buffer.contents buf
 
-let get_crash target s pos =
-  let bug_key = Wire.get_str s pos in
-  let signature = Wire.get_str s pos in
-  let risk_name = Wire.get_str s pos in
-  let risk =
-    match Risk.of_string risk_name with
-    | Some r -> r
-    | None -> raise (Malformed (Printf.sprintf "unknown risk class %S" risk_name))
-  in
-  let first_found = Wire.get_float s pos in
-  let enc = Wire.get_str s pos in
-  let reproducer =
-    try Serializer.decode target enc
-    with Serializer.Malformed msg -> raise (Malformed ("bad reproducer: " ^ msg))
-  in
+let get_crash target r =
+  let bug_key = Codec.string r in
+  let signature = Codec.string r in
+  let risk = Codec.named r "risk class" Risk.of_string in
+  let first_found = Codec.float r in
+  let reproducer = Codec.sub r (Serializer.read target) in
   {
     Triage.bug_key;
     risk;
@@ -229,71 +213,51 @@ let get_crash target s pos =
     repro_len = Prog.length reproducer;
   }
 
-let get_state target s pos =
-  let wrap f = try f () with Wire.Malformed msg -> raise (Malformed msg) in
-  wrap @@ fun () ->
-  let n_syscalls = Wire.get_int s pos in
+let read target r =
+  let at = Codec.offset r in
+  let n_syscalls = Codec.uint r in
   if n_syscalls <> Target.n_syscalls target then
-    raise
-      (Malformed
-         (Printf.sprintf "state for a %d-syscall target, expected %d" n_syscalls
-            (Target.n_syscalls target)));
+    Codec.fail ~at r
+      (Printf.sprintf "state for a %d-syscall target, expected %d" n_syscalls
+         (Target.n_syscalls target));
   let relations = Relation_table.create n_syscalls in
-  let n_edges = Wire.get_int s pos in
-  for _ = 1 to n_edges do
-    let i = Wire.get_int s pos in
-    let j = Wire.get_int s pos in
+  for _ = 1 to Codec.count r do
+    let at = Codec.offset r in
+    let i = Codec.uint r in
+    let j = Codec.uint r in
     if i >= n_syscalls || j >= n_syscalls then
-      raise (Malformed (Printf.sprintf "relation (%d, %d) out of range" i j));
+      Codec.fail ~at r (Printf.sprintf "relation (%d, %d) out of range" i j);
     ignore (Relation_table.set relations i j)
   done;
+  (* A decoded id sizes the bitset, so ids stop at the allocated
+     branch range. *)
   let coverage = Bitset.create () in
-  let n_cov = Wire.get_int s pos in
+  let ids = Coverage.total_allocated () in
   let prev = ref 0 in
-  for _ = 1 to n_cov do
-    prev := !prev + Wire.get_int s pos;
+  for _ = 1 to Codec.count r do
+    let at = Codec.offset r in
+    let d = Codec.uint r in
+    if d >= ids - !prev then
+      Codec.fail ~at r (Printf.sprintf "coverage id beyond the %d allocated" ids);
+    prev := !prev + d;
     Bitset.add coverage !prev
   done;
-  let n_corpus = Wire.get_int s pos in
-  let corpus = ref [] in
-  for _ = 1 to n_corpus do
-    let enc = Wire.get_str s pos in
-    let prog =
-      try Serializer.decode target enc
-      with Serializer.Malformed msg -> raise (Malformed ("bad program: " ^ msg))
-    in
-    (* Re-key on the canonical encoding in case the stored bytes were
-       not (the key is the dedup unit). *)
-    corpus := (corpus_key prog, prog) :: !corpus
-  done;
-  let n_crashes = Wire.get_int s pos in
-  let crashes = ref [] in
-  for _ = 1 to n_crashes do
-    crashes := get_crash target s pos :: !crashes
-  done;
-  let n_execs = Wire.get_int s pos in
-  let execs = ref [] in
-  for _ = 1 to n_execs do
-    let shard = Wire.get_int s pos in
-    let n = Wire.get_int s pos in
-    execs := (shard, n) :: !execs
-  done;
-  canonical
-    {
-      n_syscalls;
-      relations;
-      coverage;
-      corpus = !corpus;
-      crashes = !crashes;
-      execs = !execs;
-    }
+  let corpus =
+    Codec.list r (fun r ->
+        (* Re-key on the canonical encoding in case the stored bytes
+           were not (the key is the dedup unit). *)
+        let prog = Codec.sub r (Serializer.read target) in
+        (corpus_key prog, prog))
+  in
+  let crashes = Codec.list r (get_crash target) in
+  let execs =
+    Codec.list r (fun r ->
+        let shard = Codec.uint r in
+        (shard, Codec.uint r))
+  in
+  canonical { n_syscalls; relations; coverage; corpus; crashes; execs }
 
-let of_string target s =
-  let pos = ref 0 in
-  let t = get_state target s pos in
-  if !pos <> String.length s then raise (Malformed "trailing bytes");
-  t
-
+let of_string target s = Codec.decode ~format:"shard state" (read target) s
 let equal a b = String.equal (to_string a) (to_string b)
 let digest t = Digest.to_hex (Digest.string (to_string t))
 
@@ -307,9 +271,9 @@ let apply g (d : delta) =
   merge g contrib
 
 let put_delta buf d =
-  Wire.put_int buf d.shard;
-  Wire.put_int buf d.epoch;
-  Wire.put_int buf d.d_execs;
+  Codec.put_uint buf d.shard;
+  Codec.put_uint buf d.epoch;
+  Codec.put_uint buf d.d_execs;
   put_state buf { d.outcome with execs = [] }
 
 let delta_to_string d =
@@ -318,11 +282,25 @@ let delta_to_string d =
   Buffer.contents buf
 
 let delta_of_string target s =
-  let wrap f = try f () with Wire.Malformed msg -> raise (Malformed msg) in
-  wrap @@ fun () ->
-  let pos = ref 0 in
-  let shard = Wire.get_int s pos in
-  let epoch = Wire.get_int s pos in
-  let d_execs = Wire.get_int s pos in
-  let outcome = of_string target (Wire.get_all s pos) in
-  { shard; epoch; d_execs; outcome }
+  Codec.decode ~format:"shard delta"
+    (fun r ->
+      let shard = Codec.uint r in
+      let epoch = Codec.uint r in
+      let d_execs = Codec.uint r in
+      { shard; epoch; d_execs; outcome = read target r })
+    s
+
+(* ---- epoch frames ---- *)
+
+let put_epoch buf ~epoch ~version blob =
+  Codec.put_uint buf epoch;
+  Codec.put_uint buf version;
+  Buffer.add_string buf blob
+
+let epoch_of_string target s =
+  Codec.decode ~format:"epoch"
+    (fun r ->
+      let epoch = Codec.uint r in
+      let version = Codec.uint r in
+      (epoch, version, read target r))
+    s

@@ -22,10 +22,6 @@
     into the peer's state reconstructs the full join — the service's
     wire traffic is O(new work) instead of O(total state). *)
 
-exception Malformed of string
-(** Raised by the decoders on truncated or corrupt input (a
-    checkpoint cut off mid-write, a garbled frame). *)
-
 type t = {
   n_syscalls : int;
   relations : Healer_core.Relation_table.t;
@@ -89,12 +85,24 @@ val is_empty : t -> bool
 (** True when every component is empty — e.g. a {!diff} against a
     state that already dominates [t]. *)
 
+(** {2 Serialization}
+
+    The decoders raise {!Healer_util.Codec.Malformed} on truncated or
+    corrupt input (a checkpoint cut off mid-write, a garbled frame).
+    Beyond the codec's caps they check [n_syscalls] against the
+    target, relation endpoints against [n_syscalls], and coverage ids
+    against the allocated branch range
+    ({!Healer_kernel.Coverage.total_allocated}). *)
+
 val to_string : t -> string
 val put_state : Buffer.t -> t -> unit
 (** [to_string] through a caller-supplied (reusable) buffer. *)
 
 val of_string : Healer_syzlang.Target.t -> string -> t
-(** Raises {!Malformed}. Validates [n_syscalls] against the target. *)
+(** Format ["shard state"]. *)
+
+val read : Healer_syzlang.Target.t -> Healer_util.Codec.reader -> t
+(** {!of_string} as a schema, for formats that embed a state. *)
 
 (** {2 Worker deltas} *)
 
@@ -119,4 +127,17 @@ val apply : t -> delta -> t
 val delta_to_string : delta -> string
 val put_delta : Buffer.t -> delta -> unit
 val delta_of_string : Healer_syzlang.Target.t -> string -> delta
-(** Raises {!Malformed}. *)
+(** Format ["shard delta"]: shard, epoch and [d_execs] as uvarints,
+    then the outcome as a state whose counters are dropped. *)
+
+(** {2 Epoch frames}
+
+    The coordinator's [Epoch] payload: the epoch index, the worker's
+    base version, then a state diff to fold into the worker's base. *)
+
+val put_epoch : Buffer.t -> epoch:int -> version:int -> string -> unit
+(** The last argument is the diff already encoded by {!to_string}:
+    the coordinator encodes each front's diff once for all shards. *)
+
+val epoch_of_string : Healer_syzlang.Target.t -> string -> int * int * t
+(** [(epoch, version, diff)]; format ["epoch"]. *)

@@ -1,55 +1,20 @@
-module Serializer = Healer_executor.Serializer
-
-exception Malformed of string
+module Codec = Healer_util.Codec
 
 type tag = Epoch | Delta | Quit
 
 let tag_byte = function Epoch -> 'E' | Delta -> 'D' | Quit -> 'Q'
 
+let malformed offset reason =
+  raise (Codec.Malformed { format = "frame"; offset; reason })
+
 let tag_of_byte = function
   | 'E' -> Epoch
   | 'D' -> Delta
   | 'Q' -> Quit
-  | c -> raise (Malformed (Printf.sprintf "unknown frame tag %C" c))
+  | c -> malformed 0 (Printf.sprintf "unknown frame tag %C" c)
 
 (* A corrupt length prefix must not turn into a giant allocation. *)
 let max_payload = 1 lsl 30
-
-(* ---- payload primitives ---- *)
-
-let put_int buf n =
-  if n < 0 then invalid_arg "Wire.put_int: negative";
-  Serializer.put_uvarint buf (Int64.of_int n)
-
-let put_str buf s =
-  put_int buf (String.length s);
-  Buffer.add_string buf s
-
-let put_float buf f = Serializer.put_uvarint buf (Int64.bits_of_float f)
-
-let get_uvarint s pos =
-  try Serializer.get_uvarint s pos
-  with Serializer.Malformed msg -> raise (Malformed msg)
-
-let get_int s pos =
-  let v = get_uvarint s pos in
-  if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
-    raise (Malformed "varint out of int range");
-  Int64.to_int v
-
-let get_str s pos =
-  let n = get_int s pos in
-  if n > String.length s - !pos then raise (Malformed "truncated string");
-  let r = String.sub s !pos n in
-  pos := !pos + n;
-  r
-
-let get_float s pos = Int64.float_of_bits (get_uvarint s pos)
-
-let get_all s pos =
-  let r = String.sub s !pos (String.length s - !pos) in
-  pos := String.length s;
-  r
 
 (* ---- endpoints: reusable scratch per connection ---- *)
 
@@ -61,6 +26,7 @@ let get_all s pos =
 type endpoint = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (* payload encoding, cleared (not reset) per frame *)
+  hdr : Buffer.t;  (* tag byte and length varint *)
   mutable scratch : Bytes.t;  (* assembled outgoing / incoming frame *)
   byte1 : Bytes.t;  (* single-byte header reads *)
   mutable bytes_out : int;
@@ -73,6 +39,7 @@ let endpoint fd =
   {
     fd;
     buf = Buffer.create 4096;
+    hdr = Buffer.create 16;
     scratch = Bytes.create 4096;
     byte1 = Bytes.create 1;
     bytes_out = 0;
@@ -94,27 +61,16 @@ let rec write_all fd bytes off len =
     write_all fd bytes (off + n) (len - n)
   end
 
-(* Writes a uvarint into [b] at [off]; returns the byte count. *)
-let blit_uvarint b off n =
-  let rec go off n =
-    if n < 0x80 then begin
-      Bytes.set b off (Char.chr n);
-      off + 1
-    end
-    else begin
-      Bytes.set b off (Char.chr (0x80 lor (n land 0x7f)));
-      go (off + 1) (n lsr 7)
-    end
-  in
-  go off n - off
-
 let send ep tag encode =
   Buffer.clear ep.buf;
   encode ep.buf;
   let len = Buffer.length ep.buf in
-  ensure ep (len + 11);
-  Bytes.set ep.scratch 0 (tag_byte tag);
-  let hdr = 1 + blit_uvarint ep.scratch 1 len in
+  Buffer.clear ep.hdr;
+  Buffer.add_char ep.hdr (tag_byte tag);
+  Codec.put_uint ep.hdr len;
+  let hdr = Buffer.length ep.hdr in
+  ensure ep (hdr + len);
+  Buffer.blit ep.hdr 0 ep.scratch 0 hdr;
   Buffer.blit ep.buf 0 ep.scratch hdr len;
   write_all ep.fd ep.scratch 0 (hdr + len);
   ep.bytes_out <- ep.bytes_out + hdr + len;
@@ -144,20 +100,20 @@ let read_exact_into ep n =
 
 (* The length varint is read byte-by-byte: its size is unknown until
    the continuation bit clears, and over-reading would steal the next
-   frame's bytes. *)
+   frame's bytes. Five bytes hold any length up to [max_payload]. *)
 let recv ep =
   let tag = tag_of_byte (read_byte ep) in
   let len = ref 0 and shift = ref 0 and continue = ref true in
   let hdr = ref 1 in
   while !continue do
-    if !shift > 62 then raise (Malformed "frame length varint too long");
+    if !shift > 28 then malformed 1 "frame length varint too long";
     let b = Char.code (read_byte ep) in
     incr hdr;
     len := !len lor ((b land 0x7f) lsl !shift);
     shift := !shift + 7;
     continue := b land 0x80 <> 0
   done;
-  if !len > max_payload then raise (Malformed "frame payload too large");
+  if !len > max_payload then malformed 1 "frame payload too large";
   read_exact_into ep !len;
   ep.bytes_in <- ep.bytes_in + !hdr + !len;
   ep.frames_in <- ep.frames_in + 1;

@@ -1,15 +1,12 @@
 (** Length-prefixed binary framing over file descriptors — the
-    coordinator/worker pipe protocol, built on the executor's LEB128
-    varints ({!Healer_executor.Serializer}).
+    coordinator/worker pipe protocol, built on {!Healer_util.Codec}'s
+    LEB128 varints.
 
     A frame is one tag byte, a uvarint payload length, then the
     payload. Writers emit a frame with a single buffered write;
     readers block until the full frame arrives. A peer dying mid-frame
     surfaces as [End_of_file] (the pipe drains, then reads return 0),
     which the coordinator treats as worker death. *)
-
-exception Malformed of string
-(** Unknown tag, varint overflow, or an implausible payload length. *)
 
 type tag =
   | Epoch  (** coordinator -> worker: epoch index + merged state *)
@@ -39,8 +36,9 @@ val send : endpoint -> tag -> (Buffer.t -> unit) -> unit
 val send_string : endpoint -> tag -> string -> unit
 
 val recv : endpoint -> tag * string
-(** Blocking. Raises [End_of_file] on a closed peer, {!Malformed} on
-    garbage. *)
+(** Blocking. Raises [End_of_file] on a closed peer, and
+    {!Healer_util.Codec.Malformed} (format ["frame"]) on an unknown
+    tag, an overlong length varint or a length above 1 GiB. *)
 
 val bytes_out : endpoint -> int
 val bytes_in : endpoint -> int
@@ -54,25 +52,3 @@ val frames_in : endpoint -> int
 
 val send_frame : Unix.file_descr -> tag -> string -> unit
 val recv_frame : Unix.file_descr -> tag * string
-
-(** {2 Payload primitives}
-
-    Shared by the state, delta and checkpoint encoders. All raise
-    {!Malformed} on truncated or corrupt input, never [Scanf]-style
-    surprises. *)
-
-val put_int : Buffer.t -> int -> unit
-(** Non-negative ints as uvarints. *)
-
-val put_str : Buffer.t -> string -> unit
-(** Length-prefixed bytes. *)
-
-val put_float : Buffer.t -> float -> unit
-(** IEEE bits as a uvarint. *)
-
-val get_int : string -> int ref -> int
-val get_str : string -> int ref -> string
-val get_float : string -> int ref -> float
-
-val get_all : string -> int ref -> string
-(** The remaining bytes (advances the cursor to the end). *)

@@ -84,11 +84,8 @@ let serve (cfg : Checkpoint.config) ~shard ~input ~output =
     | Wire.Quit, _ -> Unix._exit 0
     | Wire.Delta, _ -> Unix._exit 3
     | Wire.Epoch, payload ->
-      let pos = ref 0 in
-      let epoch = Wire.get_int payload pos in
-      let ver = Wire.get_int payload pos in
+      let epoch, ver, d = Shard_state.epoch_of_string target payload in
       if ver <> !version then Unix._exit 3;
-      let d = Shard_state.of_string target (Wire.get_all payload pos) in
       if not (Shard_state.is_empty d) then base := Shard_state.merge !base d;
       incr version;
       let d = run_epoch cfg ~shard ~epoch !base in

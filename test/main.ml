@@ -33,6 +33,7 @@ let () =
       ("triage-fuzzer", Test_triage_fuzzer.suite);
       ("progcheck", Test_progcheck.suite);
       ("persist", Test_persist.suite);
+      ("codec", Test_codec.suite);
       (* The service suite forks worker processes; OCaml 5 forbids
          Unix.fork once any other domain has been spawned, so it must
          run before the domain-spawning "parallel" suite. *)

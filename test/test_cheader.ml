@@ -141,6 +141,17 @@ let test_unsupported_raises () =
   reject "struct bad {\n    frob_t weird;\n};\n";
   reject "struct unterminated {\n    int x;\n"
 
+(* Every prefix of the sample header either converts or raises
+   [Unsupported]: a header cut off anywhere never escapes as another
+   exception. *)
+let test_header_prefixes () =
+  for cut = 0 to String.length sample_header do
+    match Cheader.convert (String.sub sample_header 0 cut) with
+    | _ | (exception Cheader.Unsupported _) -> ()
+    | exception e ->
+      Alcotest.failf "the %d-byte prefix escaped %s" cut (Printexc.to_string e)
+  done
+
 let test_unknown_struct_in_field () =
   match Cheader.parse "struct a {\n    struct missing m;\n};\n" with
   | exception Cheader.Unsupported _ -> ()
@@ -179,6 +190,7 @@ let suite =
     case "converted target fuzzable" test_convert_generates_fuzzable_target;
     case "comments stripped" test_comments_stripped;
     case "unsupported raises" test_unsupported_raises;
+    case "header prefixes fail typed" test_header_prefixes;
     case "unknown struct field" test_unknown_struct_in_field;
     case "struct ordering" test_struct_ordering;
     case "void params" test_proto_void_params;

@@ -125,29 +125,6 @@ let test_roundtrip_all_value_forms () =
   Alcotest.(check bool) "args equal" true
     (List.for_all2 Value.equal (Prog.call p 1).Prog.args b.Prog.args)
 
-let test_serializer_malformed () =
-  let expect_malformed s =
-    match Serializer.decode (tgt ()) s with
-    | exception Serializer.Malformed _ -> ()
-    | _ -> Alcotest.fail "should reject"
-  in
-  expect_malformed "";
-  expect_malformed "XXXX";
-  expect_malformed "HLR1";
-  let good = Serializer.encode (sample_prog ()) in
-  expect_malformed (String.sub good 0 (String.length good - 1));
-  expect_malformed (good ^ "\x00")
-
-let test_varint_roundtrip =
-  qcheck "uvarint roundtrip"
-    QCheck2.Gen.(map Int64.of_int int)
-    (fun v ->
-      let v = Int64.logand v Int64.max_int in
-      let b = Buffer.create 10 in
-      Serializer.put_uvarint b v;
-      let pos = ref 0 in
-      Serializer.get_uvarint (Buffer.contents b) pos = v)
-
 (* ---- execution ---- *)
 
 let test_exec_basic_flow () =
@@ -306,8 +283,6 @@ let suite =
     test_prog_edit_invariant;
     case "serializer roundtrip" test_roundtrip_explicit;
     case "serializer all value forms" test_roundtrip_all_value_forms;
-    case "serializer malformed" test_serializer_malformed;
-    test_varint_roundtrip;
     case "exec basic flow" test_exec_basic_flow;
     case "exec failed ref degrades" test_exec_failed_ref_degrades;
     case "exec deterministic" test_exec_deterministic;

@@ -256,7 +256,7 @@ let test_decode_rejects_invalid () =
   let s = Serializer.encode bad in
   match Serializer.decode (mt ()) s with
   | _ -> Alcotest.fail "expected Malformed"
-  | exception Serializer.Malformed _ -> ()
+  | exception Healer_util.Codec.Malformed _ -> ()
 
 (* ---- golden clean corpora ---- *)
 
@@ -428,7 +428,7 @@ let test_corruption_never_dirty =
       Bytes.set bytes (pos mod Bytes.length bytes) (Char.chr byte);
       match Serializer.decode t (Bytes.to_string bytes) with
       | p' -> P.errors t p' = []
-      | exception Serializer.Malformed _ -> true)
+      | exception Healer_util.Codec.Malformed _ -> true)
 
 (* ---- the analysis-layer corpus report ---- *)
 

@@ -42,32 +42,6 @@ let test_serializer_total =
       let p' = Serializer.decode (tgt ()) (Serializer.encode p) in
       Serializer.encode p = Serializer.encode p')
 
-(* Decoding arbitrary bytes never escapes the Malformed exception. *)
-let test_decoder_robust =
-  qcheck ~count:500 "decoder is total on garbage" QCheck2.Gen.(string_size (int_range 0 64))
-    (fun s ->
-      match Serializer.decode (tgt ()) s with
-      | _ -> true
-      | exception Serializer.Malformed _ -> true)
-
-(* Corrupting a valid encoding never escapes Malformed, and anything
-   that still decodes must be validator-clean (the debug-validation
-   hook in decode turns dirty decodes into Malformed; the explicit
-   errors check keeps this property honest with validation off). *)
-let test_decoder_robust_on_corruption =
-  qcheck ~count:300 "decoder survives bit flips"
-    QCheck2.Gen.(triple small_int (int_range 0 1000) (int_range 0 255))
-    (fun (seed, pos, byte) ->
-      let good = Serializer.encode (gen_prog seed) in
-      let bytes = Bytes.of_string good in
-      if Bytes.length bytes = 0 then true
-      else begin
-        Bytes.set bytes (pos mod Bytes.length bytes) (Char.chr byte);
-        match Serializer.decode (tgt ()) (Bytes.to_string bytes) with
-        | p -> Healer_executor.Progcheck.errors (tgt ()) p = []
-        | exception Serializer.Malformed _ -> true
-      end)
-
 (* Removing a call never breaks the backwards-reference invariant, for
    any position in any generated program. *)
 let test_remove_preserves_wf =
@@ -156,8 +130,6 @@ let suite =
   [
     test_exec_deterministic;
     test_serializer_total;
-    test_decoder_robust;
-    test_decoder_robust_on_corruption;
     test_remove_preserves_wf;
     test_minimize_contract;
     test_dynamic_edges_plausible;

@@ -133,6 +133,20 @@ let test_parse_errors () =
 
 let compile src = Target.of_string src
 
+(* Every 17th prefix of the shipped description corpus either compiles
+   or fails with one of the front end's typed errors: a description
+   file cut off anywhere never escapes as another exception. *)
+let test_source_prefixes () =
+  let src = K.Kernel.source () in
+  let cut = ref 0 in
+  while !cut <= String.length src do
+    (match compile (String.sub src 0 !cut) with
+    | _ | (exception (Parser.Error _ | Lexer.Error _ | Target.Compile_error _)) -> ()
+    | exception e ->
+      Alcotest.failf "the %d-byte prefix escaped %s" !cut (Printexc.to_string e));
+    cut := !cut + 17
+  done
+
 let test_compile_minimal () =
   let t =
     compile
@@ -343,6 +357,7 @@ let test_parse_located_lines () =
 
 let suite =
   [
+    case "source prefixes fail typed" test_source_prefixes;
     case "lexer basic" test_lexer_basic;
     case "lexer $-idents" test_lexer_idents_with_dollar;
     case "lexer numbers" test_lexer_numbers;
