@@ -749,12 +749,57 @@ let hooks_smoke () =
 
 (* ---- compiled-engine smoke (cheap enough for every build) ---- *)
 
-(* Compile once, execute many: lowering cost, fresh-run cost, the
-   isolated exec loop with the reboot amortized away, and the warm
-   probe loop (the minimization/relearning workload the compiled
-   engine plus the prefix cache serve together). Measured with the
-   hooks_smoke min-of-batches method. The engine's differential check
-   against the reference interpreter lives in the test suite
+let json_path = "BENCH_results.json"
+
+(* A number from the committed snapshot at the repository root (the
+   working directory under `dune exec`, the parent of bench/ under the
+   @bench-smoke rule), by its path of object keys. *)
+let committed keys =
+  let module J = Healer_perf.Json in
+  let path =
+    if Filename.basename (Sys.getcwd ()) = "bench" then
+      Filename.concat Filename.parent_dir_name json_path
+    else json_path
+  in
+  if not (Sys.file_exists path) then None
+  else
+    let json = J.parse (In_channel.with_open_bin path In_channel.input_all) in
+    match List.fold_left (fun j k -> Option.bind j (J.member k)) (Some json) keys with
+    | Some (J.Num w) -> Some w
+    | _ -> None
+
+(* Allocated words so far. On OCaml 5 the minor figure of
+   Gc.counters/quick_stat only moves at collections; Gc.minor_words is
+   exact anywhere. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Fail the section when a deterministic words row rises more than 10%
+   over its committed value. *)
+let gate_words ~what words keys =
+  match committed keys with
+  | None -> Fmt.pr "  %-30s not gated (no committed row)@." what
+  | Some base ->
+    Fmt.pr "  %-30s %12.0f (gate: +10%%)@." ("committed " ^ what) base;
+    if words > base *. 1.10 then
+      failwith
+        (Printf.sprintf "%s: %.0f allocated words, more than 10%% above the committed %.0f"
+           what words base)
+
+(* (programs, words per Kernel.boot, per Compiled.compile, per
+   Exec.run) over the seed corpus. *)
+let exec_words : (int * float * float * float) option ref = ref None
+
+(* Compile once, execute many: exact allocated words of the three
+   stages of a run (boot, lowering, the whole Exec.run), then the
+   lowering cost, fresh-run cost, the isolated exec loop with the
+   reboot amortized away, and the warm probe loop through the opt-in
+   prefix cache. Words are counted with validation off, so they are the
+   production path's whatever HEALER_DEBUG_VALIDATE says, and each row
+   is gated at +10% over the committed one. Times use the hooks_smoke
+   min-of-batches method and are not gated. The engine's differential
+   check against the reference interpreter lives in the test suite
    (test/test_compiled.ml). *)
 let compiled_smoke () =
   section "Compiled execution (compile once, execute many)";
@@ -764,6 +809,30 @@ let compiled_smoke () =
   let cov = K.Coverage.create () in
   let progs = Seeds.traces target @ Seeds.distilled target in
   let nprogs = List.length progs in
+  let debug = E.Progcheck.debug_enabled () in
+  let words pass =
+    Fun.protect
+      ~finally:(fun () -> E.Progcheck.set_debug debug)
+      (fun () ->
+        E.Progcheck.set_debug false;
+        pass ();
+        let a0 = allocated () in
+        pass ();
+        (allocated () -. a0) /. float_of_int nprogs)
+  in
+  let boot_w =
+    words (fun () ->
+        List.iter (fun _ -> ignore (K.Kernel.boot ~version:K.Version.V5_11 ())) progs)
+  in
+  let compile_w = words (fun () -> List.iter (fun p -> ignore (E.Compiled.compile p)) progs) in
+  let run_w = words (fun () -> List.iter (fun p -> ignore (E.Exec.run ~cov kernel p)) progs) in
+  exec_words := Some (nprogs, boot_w, compile_w, run_w);
+  List.iter
+    (fun (what, w, key) ->
+      Fmt.pr "  %-30s %12.0f@." (what ^ " words") w;
+      gate_words ~what w [ "exec_words"; key ])
+    [ ("Kernel.boot", boot_w, "boot"); ("Compiled.compile", compile_w, "compile");
+      ("Exec.run", run_w, "run") ];
   let compiled = List.map E.Compiled.compile progs in
   let batches = 12 and rounds = 200 in
   let measure name pass =
@@ -798,10 +867,9 @@ let compiled_smoke () =
          List.iter
            (fun c -> ignore (E.Exec.run_compiled ~fresh_state:false ~cov k c))
            compiled));
-  (* Execute-many steady state: the probe loop re-running programs it
-     has seen — compiled forms reused from the trie, results resumed
-     from cached prefixes. This is the workload minimization and
-     relation learning put through the executor. *)
+  (* Execute-many steady state through the opt-in prefix cache: the
+     probe loop re-running programs it has seen — compiled forms reused
+     from the trie, results resumed from cached prefixes. *)
   let probe_cache = E.Exec_cache.create ~version:K.Version.V5_11 () in
   List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
   List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
@@ -991,8 +1059,6 @@ let wire_micro () =
 
 (* ---- generation hot path (cheap enough for every build) ---- *)
 
-let json_path = "BENCH_results.json"
-
 (* (programs, allocated words, buffer bytes and ns per program). *)
 let gen_stats : (int * float * float * float) option ref = ref None
 
@@ -1004,23 +1070,6 @@ let rec buffer_bytes (v : Healer_executor.Value.t) =
   | Ptr v -> buffer_bytes v
   | Group vs -> List.fold_left (fun acc v -> acc + buffer_bytes v) 0 vs
   | Int _ | Res_ref _ | Res_special _ | Str _ | Null | Vma _ -> 0
-
-(* Words per program in the committed snapshot at the repository root:
-   the working directory under `dune exec`, the parent of bench/ under
-   the @bench-smoke rule. *)
-let committed_gen_words () =
-  let module J = Healer_perf.Json in
-  let path =
-    if Filename.basename (Sys.getcwd ()) = "bench" then
-      Filename.concat Filename.parent_dir_name json_path
-    else json_path
-  in
-  if not (Sys.file_exists path) then None
-  else
-    let json = J.parse (In_channel.with_open_bin path In_channel.input_all) in
-    match Option.bind (J.member "gen" json) (J.member "words_per_program") with
-    | Some (J.Num w) -> Some w
-    | _ -> None
 
 (* Gen.generate from a fixed seed with a uniform select. Allocated
    words (minor + major - promoted) and buffer bytes per program are
@@ -1045,12 +1094,6 @@ let gen_smoke () =
     ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
     (fun () ->
       ignore (batch ());
-      let allocated () =
-        (* On OCaml 5 the minor figure of Gc.counters/quick_stat only
-           moves at collections; Gc.minor_words is exact anywhere. *)
-        let _, promoted, major = Gc.counters () in
-        Gc.minor_words () +. major -. promoted
-      in
       let a0 = allocated () in
       let progs = batch () in
       let words = (allocated () -. a0) /. float_of_int gen_programs in
@@ -1076,16 +1119,7 @@ let gen_smoke () =
       Fmt.pr "  %-30s %12.0f@." "buffer bytes / program" bytes;
       Fmt.pr "  %-30s %12.0f@." "ns / program" !ns;
       gen_stats := Some (gen_programs, words, bytes, !ns);
-      match committed_gen_words () with
-      | None -> Fmt.pr "  no committed words/program row: not gated@."
-      | Some base ->
-        Fmt.pr "  %-30s %12.0f (gate: +10%%)@." "committed words / program" base;
-        if words > base *. 1.10 then
-          failwith
-            (Printf.sprintf
-               "gen: %.0f allocated words per program, more than 10%% above \
-                the committed %.0f"
-               words base))
+      gate_words ~what:"gen words / program" words [ "gen"; "words_per_program" ])
 
 (* ---- main ---- *)
 
@@ -1179,6 +1213,13 @@ let write_json ~jobs ~section_times () =
        \"buffer_bytes_per_program\": %.1f, \"ns_per_program\": %.1f}"
       programs words bytes ns
   | None -> field "\"gen\": null");
+  (match !exec_words with
+  | Some (programs, boot, compile, run) ->
+    field
+      "\"exec_words\": {\"programs\": %d, \"boot\": %.1f, \"compile\": %.1f, \
+       \"run\": %.1f}"
+      programs boot compile run
+  | None -> field "\"exec_words\": null");
   field ~last:true "%s"
     (obj_list "micro" !micro_results (fun (name, ns) ->
          Printf.sprintf "{\"name\": %S, \"ns_per_run\": %.1f}" name ns));

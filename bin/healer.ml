@@ -120,14 +120,6 @@ let run_fuzz tool version hours seed load_rel save_rel load_corp save_corp =
     Fmt.pr "learned relations %d@." (Fuzzer.relation_count f);
     Fmt.pr "alpha             %.2f@." (Fuzzer.alpha_value f)
   end;
-  (match Fuzzer.cache_stats f with
-  | Some s ->
-    let open Healer_executor.Exec_cache in
-    let total = s.hits + s.misses in
-    let rate = if total = 0 then 0.0 else float_of_int s.hits /. float_of_int total in
-    Fmt.pr "probe cache       %d hits / %d misses (%.0f%% hit rate), %d calls resumed, %d evictions@."
-      s.hits s.misses (100.0 *. rate) s.resumed_calls s.evictions
-  | None -> ());
   let records = Triage.records (Fuzzer.triage f) in
   Fmt.pr "unique crashes    %d@." (List.length records);
   List.iter
@@ -581,23 +573,7 @@ let run_effects json =
   let input = Analysis.of_kernel () in
   let ds = Analysis.run ~passes:[ Healer_analysis.Effects.pass ] input in
   let model = K.Kernel.effect_model () in
-  let target = K.Kernel.target () in
-  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
-  let cov = K.Coverage.create () in
-  let counts =
-    List.fold_left
-      (fun acc p ->
-        let k', _ = Healer_executor.Exec.run ~cov kernel p in
-        List.fold_left
-          (fun acc (slot, r, w) ->
-            let cr, cw = try List.assoc slot acc with Not_found -> (0, 0) in
-            (slot, (cr + r, cw + w)) :: List.remove_assoc slot acc)
-          acc
-          (K.Kernel.effect_counts k'))
-      []
-      (Seeds.traces target @ Seeds.distilled target)
-    |> List.sort compare
-  in
+  let counts = Healer_analysis.Effects.seed_counts () in
   if json then begin
     let b = Buffer.create 1024 in
     let esc = Diagnostic.json_escape in

@@ -63,6 +63,27 @@ let run input =
     List.map to_diagnostic
       (Effect.check_model ~lock ?handlers:input.handlers model)
 
+(* Per-slot [(slot, (reads, writes))] access counts of the built-in
+   seed corpus, each program run from a fresh boot like the executor's
+   forked processes; sorted by slot. What `healer analyze --effects`
+   reports; empty when the effect hooks are off. *)
+let seed_counts () =
+  let module K = Healer_kernel in
+  let target = K.Kernel.target () in
+  let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
+  let cov = K.Coverage.create () in
+  List.fold_left
+    (fun acc p ->
+      let k', _ = Healer_executor.Exec.run ~cov kernel p in
+      List.fold_left
+        (fun acc (slot, r, w) ->
+          let cr, cw = try List.assoc slot acc with Not_found -> (0, 0) in
+          (slot, (cr + r, cw + w)) :: List.remove_assoc slot acc)
+        acc (K.Kernel.effect_counts k'))
+    []
+    (Healer_core.Seeds.traces target @ Healer_core.Seeds.distilled target)
+  |> List.sort compare
+
 let pass =
   {
     pass_name = "effects";

@@ -35,7 +35,8 @@ val run_one :
   unit ->
   run
 (** One campaign (default 24 virtual hours). [exec_cache] forwards to
-    {!Fuzzer.config}. *)
+    {!Fuzzer.config} (off unless [true]); the four [cache_*] fields
+    stay 0 with the cache off. *)
 
 val default_jobs : unit -> int
 (** Worker-domain count for {!run_matrix}: the [HEALER_BENCH_JOBS]

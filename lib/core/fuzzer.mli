@@ -43,9 +43,11 @@ type config = {
   use_dynamic_learning : bool;  (** Ablation hook (HEALER only). *)
   fixed_alpha : float option;  (** Ablation hook: disable adaptation. *)
   exec_cache : bool option;
-      (** Force the probe prefix-execution cache on/off; [None] follows
-          [HEALER_EXEC_CACHE]. Results are bit-identical either way —
-          the cache only changes simulator wall-clock. *)
+      (** [Some true] routes probes through the prefix-execution cache;
+          [None] and [Some false] leave it off (see
+          {!Healer_executor.Pool.create}). Results are bit-identical
+          either way — the cache only changes simulator wall-clock and
+          memory. *)
 }
 
 val config :

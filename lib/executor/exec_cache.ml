@@ -67,11 +67,6 @@ type t = {
   mutable clock : int;
 }
 
-let enabled_from_env () =
-  match Sys.getenv_opt "HEALER_EXEC_CACHE" with
-  | Some ("0" | "false" | "off" | "no") -> false
-  | Some _ | None -> true
-
 let create ?(capacity = 192) ?(node_capacity = 8192) ?san ?features ~version ()
     =
   if capacity <= 0 then invalid_arg "Exec_cache.create: capacity must be > 0";

@@ -9,6 +9,12 @@
     {!Healer_kernel.Kernel.copy}) instead of re-executing from call 0,
     and a fully-cached program executes nothing at all.
 
+    Opt-in ([Pool.create ~exec_cache:true]): a plain run boots on first
+    touch and dispatches through a table, so serving a probe through
+    the trie (key encoding, walk, snapshot copies) costs more than
+    running it, and the retained snapshots dominate peak memory
+    (DESIGN §11).
+
     Correctness rules:
     - Execution is deterministic given the boot config and call
       sequence, so cached results are bit-identical to live ones —
@@ -71,10 +77,6 @@ val run : t -> ?cov:Healer_kernel.Coverage.t -> Prog.t -> Exec.run_result
     cached prefix. Result is bit-identical to
     [snd (Exec.run kernel p)] on a kernel with this cache's boot
     config. *)
-
-val enabled_from_env : unit -> bool
-(** [HEALER_EXEC_CACHE=0|false|off|no] disables the cache; anything
-    else (including unset) enables it. *)
 
 val stats : t -> stats
 val hit_rate : t -> float

@@ -7,11 +7,10 @@ type t = {
 let create ?san ?features ?exec_cache ~version ~size () =
   if size <= 0 then invalid_arg "Pool.create: size must be positive";
   let vms = Array.init size (fun id -> Vm.create ?san ?features ~version ~id ()) in
-  let enabled =
-    match exec_cache with Some b -> b | None -> Exec_cache.enabled_from_env ()
-  in
   let cache =
-    if enabled then Some (Exec_cache.create ?san ?features ~version ()) else None
+    if Option.value exec_cache ~default:false then
+      Some (Exec_cache.create ?san ?features ~version ())
+    else None
   in
   { vms; cursor = 0; cache }
 

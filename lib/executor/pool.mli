@@ -2,10 +2,9 @@
 
     The paper's experiments give each fuzzer several QEMU instances;
     the pool abstracts picking the next available one and aggregating
-    their statistics. The pool also owns the (optional) prefix
-    execution cache shared by probe runs: all its VMs boot the same
-    config, so one cache serves them all regardless of round-robin
-    order. *)
+    their statistics. The pool also owns the opt-in prefix execution
+    cache shared by probe runs: all its VMs boot the same config, so
+    one cache serves them all regardless of round-robin order. *)
 
 type t
 
@@ -17,8 +16,8 @@ val create :
   size:int ->
   unit ->
   t
-(** [exec_cache] defaults to {!Exec_cache.enabled_from_env} (the
-    [HEALER_EXEC_CACHE] toggle). *)
+(** The prefix cache is off unless [exec_cache] is [true]; with it
+    off, a probe is a plain run. *)
 
 val size : t -> int
 val next : t -> Vm.t
@@ -29,10 +28,10 @@ val run : t -> ?fault_call:int -> Prog.t -> Exec.run_result
     path; never touches the cache. *)
 
 val run_probe : t -> Prog.t -> Exec.run_result
-(** Run on the next VM through the shared prefix cache (when enabled).
-    Bit-identical results to {!run} without [fault_call]; used by
-    minimization, dynamic relation learning and triage reproducer
-    probes. *)
+(** Run on the next VM: a plain {!run} by default, through the shared
+    prefix cache when it is enabled. Bit-identical results to {!run}
+    without [fault_call] either way; used by minimization, dynamic
+    relation learning and triage reproducer probes. *)
 
 val cache_stats : t -> Exec_cache.stats option
 (** Live counters of the shared cache; [None] when disabled. *)

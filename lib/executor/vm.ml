@@ -8,7 +8,9 @@ type stats = {
 
 type t = {
   vm_id : int;
-  mutable kernel : K.Kernel.t;
+  (* The boot config: a kernel that is never executed on. Every run
+     boots its own fresh kernel from it. *)
+  config : K.Kernel.t;
   mutable is_crashed : bool;
   cov : K.Coverage.t;  (* reused across every run on this VM *)
   st : stats;
@@ -17,7 +19,7 @@ type t = {
 let create ?(san = K.Sanitizer.default) ?(features = []) ~version ~id () =
   {
     vm_id = id;
-    kernel = K.Kernel.boot ~san ~features ~version ();
+    config = K.Kernel.boot ~san ~features ~version ();
     is_crashed = false;
     cov = K.Coverage.create ();
     st = { execs = 0; crashes = 0; resets = 0 };
@@ -26,9 +28,11 @@ let create ?(san = K.Sanitizer.default) ?(features = []) ~version ~id () =
 let id vm = vm.vm_id
 let crashed vm = vm.is_crashed
 
+(* Every run boots fresh, so recovering from a crash needs no boot of
+   its own: a reset only clears the flag and counts the restart the
+   campaign pays for. *)
 let reset vm =
   if vm.is_crashed then begin
-    vm.kernel <- K.Kernel.reboot vm.kernel;
     vm.is_crashed <- false;
     vm.st.resets <- vm.st.resets + 1
   end
@@ -44,20 +48,16 @@ let finish vm result =
 
 let run vm ?fault_call prog =
   reset vm;
-  let kernel, result = Exec.run ?fault_call ~cov:vm.cov vm.kernel prog in
-  vm.kernel <- kernel;
-  finish vm result
+  finish vm (snd (Exec.run ?fault_call ~cov:vm.cov vm.config prog))
 
 let run_probe vm ?cache prog =
   match cache with
   | None -> run vm prog
   | Some c ->
     (* Stats and crash bookkeeping mirror [run] exactly so campaign
-       counters are identical with the cache on or off; [vm.kernel] is
-       left untouched (probes always start from a fresh logical boot,
-       so the VM's own state never matters to them). *)
+       counters are identical with the cache on or off. *)
     reset vm;
     finish vm (Exec_cache.run c ~cov:vm.cov prog)
 
 let stats vm = vm.st
-let version vm = K.Kernel.version vm.kernel
+let version vm = K.Kernel.version vm.config

@@ -1,9 +1,11 @@
 (** A virtual-machine instance: the QEMU analogue.
 
-    Owns a booted kernel and its lifecycle: executing a crashing test
-    case leaves the VM in a crashed state, and it must be reset
-    (rebooted) before the next execution — the campaign engine charges
-    boot time for that, as a real fuzzer pays for QEMU restarts. *)
+    Holds a boot config (version, sanitizers, features) and the
+    lifecycle around it: every run boots a fresh kernel (the executor
+    forks a pristine process per test case), and a crashing test case
+    leaves the VM in a crashed state that must be reset before the
+    next execution — the campaign engine charges boot time for that,
+    as a real fuzzer pays for QEMU restarts. *)
 
 type stats = {
   mutable execs : int;
@@ -25,8 +27,9 @@ val id : t -> int
 val crashed : t -> bool
 
 val reset : t -> unit
-(** Reboot after a crash (no-op on a healthy VM; counted only when it
-    follows a crash). *)
+(** Restart after a crash: clears the crashed state and counts one
+    reset (no-op on a healthy VM). No kernel boots here — the next run
+    boots its own. *)
 
 val run : t -> ?fault_call:int -> Prog.t -> Exec.run_result
 (** Execute a program. Automatically {!reset}s first when the previous

@@ -1,5 +1,5 @@
 (* Handler effect summaries: every handler in the stateful subsystems
-   declares the [State.global] slots and fd-payload pseudo-slots it
+   declares the [State.slot]s and fd-payload pseudo-slots it
    reads and writes (the same slot vocabulary as [Lock.cls.guards]),
    and instrumented state accessors record the observed per-execution
    effect trace. The pure checking core here backs three consumers:

@@ -1,7 +1,7 @@
 (** Handler effect summaries over shared kernel state.
 
     Every handler in the stateful subsystems declares the
-    [State.global] slots and [fd:<kind>] pseudo-slots it reads and
+    {!State.slot}s and [fd:<kind>] pseudo-slots it reads and
     writes — the same slot vocabulary as {!Lock.cls.guards} — and
     instrumented state accessors record the observed per-execution
     effect trace. The pure checkers here back the static effect-drift

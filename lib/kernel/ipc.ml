@@ -18,7 +18,6 @@ type tables = {
 }
 
 type State.fd_kind += Eventfd of eventfd | Timerfd of timerfd
-type State.global += Ipc of tables
 
 let blk = Coverage.region ~name:"ipc" ~size:512
 
@@ -34,15 +33,24 @@ let s_ipc = Effect.slot "ipc"
 let s_fd_eventfd = Effect.slot "fd:eventfd"
 let s_fd_timerfd = Effect.slot "fd:timerfd"
 
-let init st =
-  State.set_global st "ipc"
-    (Ipc { shms = Hashtbl.create 8; sems = Hashtbl.create 8; msgs = Hashtbl.create 8 })
+let tables_slot =
+  State.slot ~name:"ipc"
+    ~create:(fun () ->
+      { shms = Hashtbl.create 8; sems = Hashtbl.create 8; msgs = Hashtbl.create 8 })
+    ~copy:(fun t ->
+      {
+        shms = State.copy_tbl (fun (s : shm) -> { s with attached = s.attached }) t.shms;
+        sems =
+          State.copy_tbl
+            (fun (s : sem) ->
+              { values = Array.copy s.values; sem_destroyed = s.sem_destroyed })
+            t.sems;
+        msgs = State.copy_tbl (fun (m : msgq) -> { m with depth = m.depth }) t.msgs;
+      })
 
 let ipc_of st =
   State.record_read st s_ipc;
-  match State.global st "ipc" with
-  | Some (Ipc t) -> t
-  | Some _ | None -> failwith "ipc: state not initialized"
+  State.get st tables_slot
 
 let fresh_id st = Int64.of_int (State.incr_counter st "ipc.next_id")
 
@@ -397,28 +405,11 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Timerfd t -> Some (Timerfd { t with armed = t.armed })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Ipc t ->
-    Some
-      (Ipc
-         {
-           shms =
-             State.copy_tbl (fun (s : shm) -> { s with attached = s.attached }) t.shms;
-           sems =
-             State.copy_tbl
-               (fun (s : sem) ->
-                 { values = Array.copy s.values; sem_destroyed = s.sem_destroyed })
-               t.sems;
-           msgs =
-             State.copy_tbl (fun (m : msgq) -> { m with depth = m.depth }) t.msgs;
-         })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ ipc_ids ] in
   let w = Lock.scoped [ "ipc_ids" ] ~touches:[ "ipc" ] in
   let wt = Lock.scoped [ "ipc_ids" ] ~touches:[ "fd:timerfd" ] in
-  Subsystem.make ~name:"ipc" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"ipc" ~descriptions ~copy_kind
     ~handlers:
       [
         ("eventfd", h_eventfd);

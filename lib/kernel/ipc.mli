@@ -27,6 +27,5 @@ type tables = {
 }
 
 type State.fd_kind += Eventfd of eventfd | Timerfd of timerfd
-type State.global += Ipc of tables
 
 val sub : Subsystem.t

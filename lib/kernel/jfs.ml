@@ -12,20 +12,17 @@ type ext4_file = {
 }
 
 type State.fd_kind += Ext4 of ext4_file
-type State.global += Journal of journal
 
 let blk = Coverage.region ~name:"jfs" ~size:256
 let c ctx o = Ctx.cover ctx (blk + o)
 let race_window = 2
 
-let init st =
-  State.set_global st "journal"
-    (Journal { committing_at = 0; fc_commit_at = 0; dirty_handles = 0 })
+let journal_slot =
+  State.slot ~name:"journal"
+    ~create:(fun () -> { committing_at = 0; fc_commit_at = 0; dirty_handles = 0 })
+    ~copy:(fun j -> { j with dirty_handles = j.dirty_handles })
 
-let journal_of st =
-  match State.global st "journal" with
-  | Some (Journal j) -> j
-  | Some _ | None -> failwith "jfs: state not initialized"
+let journal_of st = State.get st journal_slot
 
 let in_window st at = at > 0 && State.now st - at <= race_window
 
@@ -155,12 +152,8 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Ext4 f -> Some (Ext4 { f with written = f.written })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Journal j -> Some (Journal { j with dirty_handles = j.dirty_handles })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"jfs" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"jfs" ~descriptions ~copy_kind
     ~handlers:
       [
         ("open$ext4", h_open_ext4);

@@ -22,6 +22,5 @@ type ext4_file = {
 }
 
 type State.fd_kind += Ext4 of ext4_file
-type State.global += Journal of journal
 
 val sub : Subsystem.t

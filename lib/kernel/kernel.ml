@@ -65,16 +65,6 @@ let locate_line global =
     Some (name, global - start + 1)
   | Some _ | None -> None
 
-let target_memo = ref None
-
-let target () =
-  match !target_memo with
-  | Some t -> t
-  | None ->
-    let t = Target.of_string ~name:"healer-sim" (source ()) in
-    target_memo := Some t;
-    t
-
 let handler_table =
   lazy
     (let tbl = Hashtbl.create 256 in
@@ -103,78 +93,63 @@ let subsystem_of name =
   | Some s -> s
   | None -> "?"
 
+(* A call with its dispatch pre-resolved: handler and owning subsystem,
+   looked up by name once per target syscall instead of on every
+   run. *)
+type prepared = {
+  p_call : Syscall.t;  (* the syscall this entry was resolved for *)
+  p_sub : string;  (* owning subsystem, for the lockdep validator *)
+  p_handler : Subsystem.handler option;  (* None -> ENOSYS *)
+}
+
+let resolve (call : Syscall.t) =
+  let name = call.Syscall.name in
+  {
+    p_call = call;
+    p_sub = subsystem_of name;
+    p_handler = Hashtbl.find_opt (Lazy.force handler_table) name;
+  }
+
+(* The compiled description set together with its dispatch table,
+   indexed by syscall id. *)
+let target_memo = ref None
+
+let target_and_dispatch () =
+  match !target_memo with
+  | Some c -> c
+  | None ->
+    let t = Target.of_string ~name:"healer-sim" (source ()) in
+    let c = (t, Array.map resolve (Target.syscalls t)) in
+    target_memo := Some c;
+    c
+
+let target () = fst (target_and_dispatch ())
+
+(* An array read for the target's own syscalls. A syscall of any other
+   target (a test's private one, a separately compiled copy) fails the
+   identity check and resolves by name. *)
+let prepare (call : Syscall.t) =
+  let d = snd (target_and_dispatch ()) in
+  let id = call.Syscall.id in
+  if id >= 0 && id < Array.length d && (Array.unsafe_get d id).p_call == call
+  then Array.unsafe_get d id
+  else resolve call
+
+(* A boot is a fresh state alone: subsystem slots are installed on
+   first touch ([State.get]). *)
 let boot ?(san = Sanitizer.default) ?(features = []) ~version () =
-  let st = State.create ~version in
-  List.iter (fun (s : Subsystem.t) -> s.init st) (subsystems ());
-  { st; san; features }
+  { st = State.create ~version; san; features }
 
 let reboot k = boot ~san:k.san ~features:k.features ~version:(State.version k.st) ()
 
-(* Copier dispatch memos. Walking all ~20 subsystems per fd kind and
-   per global made [copy] dispatch-bound (the prefix cache copies
-   snapshots on every resumed probe). The owning subsystem of an fd
-   kind is a function of its extension constructor, and of a global a
-   function of its name, so both resolve once and memoize. The tables
-   are process-global and kernels are copied from parallel campaign
-   domains — a mutex serializes access (the copy itself is far more
-   expensive than an uncontended lock). *)
-let copier_mutex = Mutex.create ()
-let kind_copier : (Obj.Extension_constructor.t, Subsystem.t) Hashtbl.t =
-  Hashtbl.create 32
-let global_copier : (string, Subsystem.t) Hashtbl.t = Hashtbl.create 32
-
-let copy_fd_kind k =
-  match k with
+let copy_fd_kind = function
   | State.Dead -> State.Dead
-  | _ -> (
-    let ec = Obj.Extension_constructor.of_val k in
-    Mutex.lock copier_mutex;
-    let owner = Hashtbl.find_opt kind_copier ec in
-    Mutex.unlock copier_mutex;
-    match owner with
-    | Some s -> (
-      match s.Subsystem.copy_kind k with
-      | Some k' -> k'
-      | None -> invalid_arg "Kernel.copy: fd kind copier became partial")
-    | None ->
-      let rec go = function
-        | [] -> invalid_arg "Kernel.copy: fd kind with no subsystem copier"
-        | (s : Subsystem.t) :: rest -> (
-          match s.Subsystem.copy_kind k with
-          | Some k' ->
-            Mutex.lock copier_mutex;
-            Hashtbl.replace kind_copier ec s;
-            Mutex.unlock copier_mutex;
-            k'
-          | None -> go rest)
-      in
-      go (subsystems ()))
+  | k -> (
+    match List.find_map (fun (s : Subsystem.t) -> s.copy_kind k) (subsystems ()) with
+    | Some k' -> k'
+    | None -> invalid_arg "Kernel.copy: fd kind with no subsystem copier")
 
-let copy_global name g =
-  Mutex.lock copier_mutex;
-  let owner = Hashtbl.find_opt global_copier name in
-  Mutex.unlock copier_mutex;
-  match owner with
-  | Some s -> (
-    match s.Subsystem.copy_global g with
-    | Some g' -> g'
-    | None -> invalid_arg ("Kernel.copy: global copier became partial: " ^ name))
-  | None ->
-    let rec go = function
-      | [] -> invalid_arg ("Kernel.copy: no subsystem copier for global " ^ name)
-      | (s : Subsystem.t) :: rest -> (
-        match s.Subsystem.copy_global g with
-        | Some g' ->
-          Mutex.lock copier_mutex;
-          Hashtbl.replace global_copier name s;
-          Mutex.unlock copier_mutex;
-          g'
-        | None -> go rest)
-    in
-    go (subsystems ())
-
-let copy k =
-  { k with st = State.copy ~copy_kind:copy_fd_kind ~copy_global k.st }
+let copy k = { k with st = State.copy ~copy_kind:copy_fd_kind k.st }
 
 (* The assembled lock model: every registered class (subsystem modules
    register theirs at module-init time, which [subsystems ()] forces)
@@ -296,23 +271,6 @@ let blk = Coverage.region ~name:"core" ~size:64
 
 (* ---- prepared execution ---- *)
 
-(* A call with its dispatch pre-resolved: the executor looks the
-   handler and owning subsystem up once per program instead of
-   hashing the syscall name on every execution. *)
-type prepared = {
-  p_name : string;
-  p_sub : string;  (* owning subsystem, for the lockdep validator *)
-  p_handler : Subsystem.handler option;  (* None -> ENOSYS *)
-}
-
-let prepare (call : Syscall.t) =
-  let name = call.Syscall.name in
-  {
-    p_name = name;
-    p_sub = subsystem_of name;
-    p_handler = Hashtbl.find_opt (Lazy.force handler_table) name;
-  }
-
 let make_ctx k cov = Ctx.make ~features:k.features ~st:k.st ~san:k.san cov
 
 let exec_prepared k ~ctx ?(fault = false) prep args =
@@ -340,7 +298,7 @@ let exec_prepared k ~ctx ?(fault = false) prep args =
     if Lock.validate_enabled () then begin
       match
         Lock.check_trace (lock_model ()) ~subsystem:prep.p_sub
-          ~handler:prep.p_name (Ctx.lock_trace ctx)
+          ~handler:prep.p_call.Syscall.name (Ctx.lock_trace ctx)
       with
       | [] -> ()
       | f :: _ -> raise (Lock.Violation f)
@@ -349,7 +307,7 @@ let exec_prepared k ~ctx ?(fault = false) prep args =
        this call read or wrote must appear in the handler's declared
        effect spec. *)
     if Effect.validate_enabled () then
-      check_effect_trace k.st ~sub:prep.p_sub ~handler:prep.p_name;
+      check_effect_trace k.st ~sub:prep.p_sub ~handler:prep.p_call.Syscall.name;
     if Ctx.take_fault ctx then begin
       Coverage.hit cov (blk + 2);
       Ctx.err Errno.ENOMEM

@@ -1,7 +1,7 @@
 (** The assembled simulated kernel: boots a {!State.t} for a version,
     compiles the union of all subsystem descriptions into a
-    {!Healer_syzlang.Target.t}, and dispatches executed calls to
-    subsystem handlers.
+    {!Healer_syzlang.Target.t} with a dispatch table, and dispatches
+    executed calls to subsystem handlers.
 
     This module is the executor's only entry point into the kernel. *)
 
@@ -12,7 +12,8 @@ val subsystems : unit -> Subsystem.t list
 (** All registered subsystems (registers them on first use). *)
 
 val target : unit -> Healer_syzlang.Target.t
-(** The compiled description set (memoized; identical across boots). *)
+(** The compiled description set (memoized; identical across boots).
+    Its dispatch table for {!prepare} is built with it. *)
 
 val source : unit -> string
 (** The full Syzlang corpus: every subsystem's descriptions
@@ -31,11 +32,14 @@ val subsystem_of : string -> string
 
 val force_init : unit -> unit
 (** Force every lazily initialized process-global (subsystem registry,
-    memoized target, handler/subsystem/line dispatch tables, crash
-    symbol table, coverage-region lookup). The globals are read-only
-    afterwards, making kernel boots and executions safe from multiple
-    domains. Must be called before spawning any domain that touches
-    the kernel; {!Healer_core.Campaign.run_matrix} does so. *)
+    memoized target with its per-syscall dispatch table,
+    handler/subsystem/line lookup tables, lock and effect models,
+    crash symbol table, coverage-region lookup). The globals are
+    read-only afterwards (so is {!State}'s slot registry, which
+    subsystems fill at module-init time), making kernel boots and
+    executions safe from multiple domains. Must be called before
+    spawning any domain that touches the kernel;
+    {!Healer_core.Campaign.run_matrix} does so. *)
 
 val boot :
   ?san:Sanitizer.config ->
@@ -43,18 +47,21 @@ val boot :
   version:Version.t ->
   unit ->
   t
-(** Boot a fresh kernel: creates the state and runs every subsystem's
-    initializer. [features] are executor capabilities (e.g. ["usb";
-    "fault_injection"]) visible to handlers. *)
+(** Boot a fresh kernel: {!State.create} and nothing else. Each
+    subsystem's state is installed on first touch ({!State.get}), so a
+    run pays only for the subsystems it reaches. [features] are
+    executor capabilities (e.g. ["usb"; "fault_injection"]) visible to
+    handlers. *)
 
 val reboot : t -> t
 (** Fresh state with the same version, sanitizer config and features. *)
 
 val copy : t -> t
-(** Snapshot: deep-copy the kernel's mutable state via each
-    subsystem's registered copy hooks, so execution can resume from
-    the copy while the original stays pristine (the prefix-caching
-    executor's primitive). Fails loudly on an fd kind or global slot
+(** Snapshot: deep-copy the kernel's mutable state, so execution can
+    resume from the copy while the original stays pristine (the
+    prefix-caching executor's primitive). Installed slots are copied
+    with their registered copy, empty ones stay empty; fd payloads go
+    through each subsystem's [copy_kind]. Fails loudly on an fd kind
     whose subsystem registered no copier — a gap the snapshot tests
     catch. *)
 
@@ -96,10 +103,10 @@ val effect_counts : t -> (string * int * int) list
 
 (** {2 Execution}
 
-    The executor resolves each call's dispatch once per program:
-    {!prepare} performs the handler-table and subsystem lookups, and
-    {!exec_prepared} runs a prepared call through a recycled
-    {!Ctx.t} with no per-call allocation. *)
+    The executor resolves each call's dispatch when it compiles a
+    program: {!prepare} reads the handler and owning subsystem from
+    the target's dispatch table, and {!exec_prepared} runs a prepared
+    call through a recycled {!Ctx.t} with no per-call allocation. *)
 
 type prepared
 (** A syscall with its handler and owning subsystem pre-resolved.
@@ -107,6 +114,9 @@ type prepared
     immutable after {!force_init}). *)
 
 val prepare : Healer_syzlang.Syscall.t -> prepared
+(** An array read by syscall id for the calls of {!target}. A syscall
+    from any other target resolves by name (an unknown name then runs
+    as [ENOSYS]). *)
 
 val make_ctx : t -> Coverage.t -> Ctx.t
 (** A handler context bound to this kernel's state and the given

@@ -19,7 +19,7 @@ type cls = {
       (** Declared nesting order: a handler may only acquire a class
           whose rank is >= every rank it already holds. *)
   guards : string list;
-      (** The {!State.global} slot names (["netdevs"]) and fd-payload
+      (** The {!State.slot} names (["netdevs"]) and fd-payload
           pseudo-slots (["fd:sock"]) this class protects. *)
 }
 

@@ -3,7 +3,6 @@ type mounts = {
   mutable last_umount : int;
 }
 
-type State.global += Mounts of mounts
 
 let blk = Coverage.region ~name:"mounts" ~size:192
 
@@ -20,15 +19,14 @@ let () =
     ~parties:[ "mount$ext4"; "mount$nfs"; "mount$reiserfs"; "umount"; "open" ]
     ~bug:"legitimize_mnt"
 
-let init st =
-  State.set_global st "mounts"
-    (Mounts { mounted = [ ("/mnt/ext4", "ext4") ]; last_umount = 0 })
+let mounts_slot =
+  State.slot ~name:"mounts"
+    ~create:(fun () -> { mounted = [ ("/mnt/ext4", "ext4") ]; last_umount = 0 })
+    ~copy:(fun m -> { m with mounted = m.mounted })
 
 let mounts_of st =
   State.record_read st s_mounts;
-  match State.global st "mounts" with
-  | Some (Mounts m) -> m
-  | Some _ | None -> failwith "mounts: state not initialized"
+  State.get st mounts_slot
 
 (* Is a mount transition (a umount) still settling? Linux's
    legitimize_mnt checks the mount's refcount lock-free on the open
@@ -157,14 +155,10 @@ mount$reiserfs(src filename["/dev/loop0"], dst filename["/mnt/a", "/mnt/b"], opt
 umount(dst filename["/mnt/a", "/mnt/b", "/mnt/ext4"])
 |}
 
-let copy_global : State.global -> State.global option = function
-  | Mounts m -> Some (Mounts { m with mounted = m.mounted })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ namespace_sem ] in
   let w = Lock.scoped [ "namespace_sem" ] ~touches:[ "mounts" ] in
-  Subsystem.make ~name:"mounts" ~descriptions ~init ~copy_global
+  Subsystem.make ~name:"mounts" ~descriptions
     ~handlers:
       [
         ("mount$ext4", l h_mount_ext4);

@@ -8,7 +8,6 @@ type mounts = {
   mutable last_umount : int;
 }
 
-type State.global += Mounts of mounts
 
 val mount_busy : State.t -> bool
 (** Is a umount still settling (within its data-race window)? Read by

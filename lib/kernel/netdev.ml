@@ -6,7 +6,6 @@ type netdev = {
   mutable macvlan_dying : bool;
 }
 
-type State.global += Netdevs of (string, netdev) Hashtbl.t
 type State.fd_kind += Packet_sock
 
 let blk = Coverage.region ~name:"netdev" ~size:256
@@ -32,16 +31,16 @@ let () =
 let fresh name =
   { dname = name; up = false; qdisc_limit = None; last_xmit = 0; macvlan_dying = false }
 
-let init st =
-  let tbl = Hashtbl.create 8 in
-  Hashtbl.replace tbl "eth0" (fresh "eth0");
-  Hashtbl.replace tbl "lo" { (fresh "lo") with up = true };
-  State.set_global st "netdevs" (Netdevs tbl)
+let devs_slot =
+  State.slot ~name:"netdevs"
+    ~create:(fun () ->
+      let tbl = Hashtbl.create 8 in
+      Hashtbl.replace tbl "eth0" (fresh "eth0");
+      Hashtbl.replace tbl "lo" { (fresh "lo") with up = true };
+      tbl)
+    ~copy:(State.copy_tbl (fun (d : netdev) -> { d with up = d.up }))
 
-let devs_of st =
-  match State.global st "netdevs" with
-  | Some (Netdevs t) -> t
-  | Some _ | None -> failwith "netdev: state not initialized"
+let devs_of st = State.get st devs_slot
 
 (* State accessors for sibling subsystems (rtnetlink mutates the same
    device table that the ioctl paths manage). *)
@@ -304,17 +303,11 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Packet_sock -> Some Packet_sock
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Netdevs tbl ->
-    Some
-      (Netdevs (State.copy_tbl (fun (d : netdev) -> { d with up = d.up }) tbl))
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ rtnl ] in
   let w = Lock.scoped [ "rtnl" ] ~touches:[ "netdevs" ] in
   let r = Lock.scoped [ "rtnl" ] in
-  Subsystem.make ~name:"netdev" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"netdev" ~descriptions ~copy_kind
     ~handlers:
       [
         ("socket$packet", h_socket_packet);

@@ -12,7 +12,6 @@ type netdev = {
   mutable macvlan_dying : bool;
 }
 
-type State.global += Netdevs of (string, netdev) Hashtbl.t
 type State.fd_kind += Packet_sock
 
 (** {2 Device-table accessors}
@@ -28,7 +27,7 @@ val rtnl : Lock.cls
     {!Netlink}'s RTM handlers, which mutate the same tables. *)
 
 val devs_of : State.t -> (string, netdev) Hashtbl.t
-(** The live device table. Raises [Failure] before {!sub}'s init ran. *)
+(** The live device table, installed on first access. *)
 
 val fresh : string -> netdev
 (** A new down device with default qdisc. *)

@@ -28,9 +28,14 @@ type genl_family = {
   mutable sends : int;
 }
 
+(* The family registry carries its own id counter, so installing it
+   needs nothing from the rest of the state. *)
+type families = {
+  by_name : (string, genl_family) Hashtbl.t;
+  mutable next_id : int;
+}
+
 type State.fd_kind += Nl_sock of nl_sock
-type State.global += Genl_families of (string, genl_family) Hashtbl.t
-type State.global += Nl_addrs of (string, int64 list) Hashtbl.t
 
 let blk = Coverage.region ~name:"netlink" ~size:512
 let c ctx o = Ctx.cover ctx (blk + o)
@@ -63,28 +68,43 @@ let fresh_sock nproto =
     queued = 0;
   }
 
+let next_family_id fams =
+  let id = fams.next_id in
+  fams.next_id <- id + 1;
+  id
+
+let register_family fams name =
+  Hashtbl.replace fams.by_name name
+    { gname = name; gid = next_family_id fams; registered = true; sends = 0 }
+
+let families_slot =
+  State.slot ~name:"genl_families"
+    ~create:(fun () ->
+      let fams = { by_name = Hashtbl.create 4; next_id = genl_base_id } in
+      List.iter (register_family fams) [ "nlctrl"; "devlink"; "ethtool" ];
+      fams)
+    ~copy:(fun fams ->
+      {
+        by_name =
+          State.copy_tbl (fun (f : genl_family) -> { f with gid = f.gid }) fams.by_name;
+        next_id = fams.next_id;
+      })
+
+let addrs_slot : (string, int64 list) Hashtbl.t State.slot =
+  State.slot ~name:"nl_addrs" ~create:(fun () -> Hashtbl.create 4) ~copy:Hashtbl.copy
+
 let families_of st =
   State.record_read st s_genl;
-  match State.global st "genl_families" with
-  | Some (Genl_families t) -> t
-  | Some _ | None -> failwith "netlink: state not initialized"
+  (State.get st families_slot).by_name
 
 let addrs_of st =
   State.record_read st s_nl_addrs;
-  match State.global st "nl_addrs" with
-  | Some (Nl_addrs t) -> t
-  | Some _ | None -> failwith "netlink: state not initialized"
+  State.get st addrs_slot
 
 (* Queue a reply on the socket: fd:nl_sock payload write. *)
 let enqueue st s n =
   State.record_write st s_nl_sock;
   s.queued <- s.queued + n
-
-let next_family_id st = genl_base_id - 1 + State.incr_counter st "genl_next_id"
-
-let register_family st name =
-  Hashtbl.replace (families_of st) name
-    { gname = name; gid = next_family_id st; registered = true; sends = 0 }
 
 let family st name = Hashtbl.find_opt (families_of st) name
 
@@ -92,13 +112,6 @@ let family_by_id st id =
   Hashtbl.fold
     (fun _ f acc -> if f.gid = id && f.registered then Some f else acc)
     (families_of st) None
-
-let init st =
-  State.set_global st "genl_families" (Genl_families (Hashtbl.create 4));
-  State.set_global st "nl_addrs" (Nl_addrs (Hashtbl.create 4));
-  register_family st "nlctrl";
-  register_family st "devlink";
-  register_family st "ethtool"
 
 (* {2 Socket plumbing} *)
 
@@ -728,7 +741,7 @@ let h_devlink_reload ctx args =
         (* Reload unregisters and re-registers the family under a
            fresh runtime id; ids saved before the reload now dangle. *)
         State.record_write st s_genl;
-        f.gid <- next_family_id st;
+        f.gid <- next_family_id (State.get st families_slot);
         genl_combo ctx ~cmd:1 ~bound:(s.bound_family <> None)
           ~registered:true ~nattrs:0;
         enqueue st s 1;
@@ -838,14 +851,6 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Nl_sock s -> Some (Nl_sock { s with memberships = s.memberships })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Genl_families tbl ->
-    Some
-      (Genl_families
-         (State.copy_tbl (fun (f : genl_family) -> { f with gid = f.gid }) tbl))
-  | Nl_addrs tbl -> Some (Nl_addrs (Hashtbl.copy tbl))
-  | _ -> None
-
 (* Lock classes. The rtnetlink handlers take [Netdev.rtnl] — the same
    class as the netdev ioctl paths — because they mutate the same
    device table; guard-coverage flagged exactly this cross-subsystem
@@ -862,7 +867,7 @@ let sub =
   let rt_spec touches = Lock.scoped [ "rtnl"; "nl_sock" ] ~touches in
   let ge_spec touches = Lock.scoped [ "genl_mutex"; "nl_sock" ] ~touches in
   let sk_spec touches = Lock.scoped [ "nl_sock" ] ~touches in
-  Subsystem.make ~name:"netlink" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"netlink" ~descriptions ~copy_kind
     ~handlers:
       [
         ("socket$nl_route", h_socket_route);

@@ -32,8 +32,6 @@ type genl_family = {
 }
 
 type State.fd_kind += Nl_sock of nl_sock
-type State.global += Genl_families of (string, genl_family) Hashtbl.t
-type State.global += Nl_addrs of (string, int64 list) Hashtbl.t
 
 val family : State.t -> string -> genl_family option
 (** Look up a generic-netlink family by name (registered or not). *)

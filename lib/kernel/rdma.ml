@@ -6,17 +6,17 @@ type cm_id = {
 }
 
 type State.fd_kind += Rdma_cm
-type State.global += Rdma_ids of (int64, cm_id) Hashtbl.t * int64 ref
 
 let blk = Coverage.region ~name:"rdma" ~size:256
 let c ctx o = Ctx.cover ctx (blk + o)
 
-let init st = State.set_global st "rdma" (Rdma_ids (Hashtbl.create 8, ref 1L))
+let ids_slot =
+  State.slot ~name:"rdma"
+    ~create:(fun () -> (Hashtbl.create 8, ref 1L))
+    ~copy:(fun (tbl, next) ->
+      (State.copy_tbl (fun (c : cm_id) -> { c with bound = c.bound }) tbl, ref !next))
 
-let ids_of st =
-  match State.global st "rdma" with
-  | Some (Rdma_ids (tbl, next)) -> (tbl, next)
-  | Some _ | None -> failwith "rdma: state not initialized"
+let ids_of st = State.get st ids_slot
 
 let h_open ctx args =
   let path = Arg.as_str (Arg.nth args 1) in
@@ -178,16 +178,8 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Rdma_cm -> Some Rdma_cm
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Rdma_ids (tbl, next) ->
-    Some
-      (Rdma_ids
-         ( State.copy_tbl (fun (c : cm_id) -> { c with bound = c.bound }) tbl,
-           ref !next ))
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"rdma" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"rdma" ~descriptions ~copy_kind
     ~handlers:
       [
         ("openat$rdma_cm", h_open);

@@ -11,6 +11,5 @@ type cm_id = {
 }
 
 type State.fd_kind += Rdma_cm  (** The /dev/infiniband/rdma_cm fd. *)
-type State.global += Rdma_ids of (int64, cm_id) Hashtbl.t * int64 ref
 
 val sub : Subsystem.t

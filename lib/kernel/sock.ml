@@ -17,9 +17,6 @@ type sock = {
 
 type State.fd_kind += Sock of sock
 
-(* rxrpc local endpoints: addr -> refcount; a double bind leaks one. *)
-type State.global += Rxrpc_locals of (int64, int) Hashtbl.t
-
 let blk = Coverage.region ~name:"sock" ~size:1024
 
 (* lock_sock: per-socket payload state plus the rxrpc local-endpoint
@@ -41,13 +38,13 @@ let proto_index = function
   | Rxrpc -> 5
   | Rds -> 6
 
-let init st = State.set_global st "rxrpc" (Rxrpc_locals (Hashtbl.create 8))
+(* rxrpc local endpoints: addr -> refcount; a double bind leaks one. *)
+let rxrpc_slot : (int64, int) Hashtbl.t State.slot =
+  State.slot ~name:"rxrpc" ~create:(fun () -> Hashtbl.create 8) ~copy:Hashtbl.copy
 
 let rxrpc_locals st =
   State.record_read st s_rxrpc;
-  match State.global st "rxrpc" with
-  | Some (Rxrpc_locals t) -> t
-  | Some _ | None -> failwith "sock: state not initialized"
+  State.get st rxrpc_slot
 
 let new_sock ctx proto =
   c ctx (proto_index proto);
@@ -621,15 +618,11 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Sock s -> Some (Sock { s with bound = s.bound })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Rxrpc_locals tbl -> Some (Rxrpc_locals (Hashtbl.copy tbl))
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ sk_lock ] in
   let w touches = Lock.scoped [ "sk_lock" ] ~touches in
   let wsk = Lock.scoped [ "sk_lock" ] ~touches:[ "fd:sock" ] in
-  Subsystem.make ~name:"sock" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"sock" ~descriptions ~copy_kind
     ~handlers:
       [
         ("socket$tcp", h_socket Tcp);

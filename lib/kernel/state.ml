@@ -8,14 +8,42 @@ type fd_entry = {
   mutable closed : bool;
 }
 
-type global = ..
+(* A subsystem slot: a dense index into every state's slot array, a
+   type witness that lets [get] recover the value's type without [Obj],
+   and the pure constructor and deep copy the slot was registered
+   with. *)
+type 'a slot = {
+  index : int;
+  name : string;
+  id : 'a Type.Id.t;
+  create : unit -> 'a;
+  copy : 'a -> 'a;
+}
+
+type any_slot = Any : 'a slot -> any_slot
+type binding = Unset | Set : 'a Type.Id.t * 'a -> binding
+
+(* Every registered slot, in registration order (= index order).
+   Filled at module-init time by the subsystems; read-only after. *)
+let registry : any_slot array ref = ref [||]
+
+let slot ~name ~create ~copy =
+  if Array.exists (fun (Any s) -> String.equal s.name name) !registry then
+    invalid_arg ("State.slot: duplicate slot " ^ name);
+  let s =
+    { index = Array.length !registry; name; id = Type.Id.make (); create; copy }
+  in
+  registry := Array.append !registry [| Any s |];
+  s
 
 type t = {
   kversion : Version.t;
   mutable next_fd : int;
   fds : (int, fd_entry) Hashtbl.t;
   mutable ops : int;
-  globals : (string, global) Hashtbl.t;
+  (* Indexed by [slot.index]; empty until the first install, then
+     sized to the registry, so a boot allocates no slot storage. *)
+  mutable slots : binding array;
   counters : (string, int) Hashtbl.t;
   (* Lock-acquisition counters, indexed by [Lock]'s dense counter
      slots. A plain int array keeps the per-acquire hook at an array
@@ -34,9 +62,9 @@ let create ~version =
   {
     kversion = version;
     next_fd = 3;
-    fds = Hashtbl.create 64;
+    fds = Hashtbl.create 16;
     ops = 0;
-    globals = Hashtbl.create 16;
+    slots = [||];
     counters = Hashtbl.create 16;
     lock_counts = [||];
     eff_reads = [||];
@@ -94,16 +122,54 @@ let live_fds t =
 let exists_fd t pred =
   Hashtbl.fold (fun _ e acc -> acc || ((not e.closed) && pred e)) t.fds false
 
-let set_global t name g = Hashtbl.replace t.globals name g
-let global t name = Hashtbl.find_opt t.globals name
-let global_exn t name = Hashtbl.find t.globals name
+(* First touch: build the slot's value with its pure constructor. The
+   constructor never sees the state, so an install records no effect
+   or lock event. *)
+let install t s =
+  let n = Array.length t.slots in
+  if s.index >= n then begin
+    let a = Array.make (max (s.index + 1) (Array.length !registry)) Unset in
+    Array.blit t.slots 0 a 0 n;
+    t.slots <- a
+  end;
+  let v = s.create () in
+  t.slots.(s.index) <- Set (s.id, v);
+  v
+
+let get (type a) t (s : a slot) : a =
+  if s.index >= Array.length t.slots then install t s
+  else
+    match Array.unsafe_get t.slots s.index with
+    | Unset -> install t s
+    | Set (id, v) -> (
+      match Type.Id.provably_equal id s.id with
+      | Some Type.Equal -> v
+      | None -> invalid_arg ("State.get: slot " ^ s.name ^ " holds a foreign value"))
+
+let installed t =
+  let out = ref [] in
+  Array.iteri
+    (fun i b ->
+      match (b, !registry.(i)) with
+      | Set _, Any s -> out := s.name :: !out
+      | Unset, _ -> ())
+    t.slots;
+  List.rev !out
+
+let copy_binding i b =
+  match (b, !registry.(i)) with
+  | Unset, _ -> Unset
+  | Set (id, v), Any s -> (
+    match Type.Id.provably_equal id s.id with
+    | Some Type.Equal -> Set (s.id, s.copy v)
+    | None -> invalid_arg ("State.copy: slot " ^ s.name ^ " holds a foreign value"))
 
 let copy_tbl copy_v tbl =
   let t = Hashtbl.copy tbl in
   Hashtbl.filter_map_inplace (fun _ v -> Some (copy_v v)) t;
   t
 
-let copy ~copy_kind ~copy_global t =
+let copy ~copy_kind t =
   let fds = Hashtbl.copy t.fds in
   (* [dup_fd] registers the same entry record under two descriptor
      numbers; preserve that aliasing by memoizing copies on the entry's
@@ -118,14 +184,12 @@ let copy ~copy_kind ~copy_global t =
         Hashtbl.add memo e.fd e';
         Some e')
     fds;
-  let globals = Hashtbl.copy t.globals in
-  Hashtbl.filter_map_inplace (fun name g -> Some (copy_global name g)) globals;
   {
     kversion = t.kversion;
     next_fd = t.next_fd;
     fds;
     ops = t.ops;
-    globals;
+    slots = Array.mapi copy_binding t.slots;
     counters = Hashtbl.copy t.counters;
     lock_counts = Array.copy t.lock_counts;
     eff_reads = Array.copy t.eff_reads;

@@ -1,10 +1,11 @@
 (** Shared kernel state: the file-descriptor table and per-subsystem
-    global slots.
+    slots.
 
     Subsystems extend {!fd_kind} with their own object constructors
-    (like [struct file] private data) and register whole-subsystem
-    state (device registries, journals, console) under named {!global}
-    slots at boot. *)
+    (like [struct file] private data) and keep whole-subsystem state
+    (device registries, journals, console) in typed {!slot}s that are
+    built on first access, so a fresh state costs only what a run
+    touches. *)
 
 type fd_kind = ..
 (** Extended by each subsystem, e.g. [State.fd_kind += Memfd of memfd]. *)
@@ -18,12 +19,12 @@ type fd_entry = {
   mutable closed : bool;
 }
 
-type global = ..
-(** Extended by subsystems for their non-fd state. *)
-
 type t
 
 val create : version:Version.t -> t
+(** A fresh state: no descriptors and no slot installed. This is the
+    whole of a boot ({!Kernel.boot}). *)
+
 val version : t -> Version.t
 
 val tick : t -> int
@@ -61,23 +62,36 @@ val exists_fd : t -> (fd_entry -> bool) -> bool
 (** Does any open descriptor satisfy the predicate? (No allocation or
     ordering — safe for hot paths.) *)
 
-(** {2 Global slots} *)
+(** {2 Subsystem slots}
 
-val set_global : t -> string -> global -> unit
-val global : t -> string -> global option
-val global_exn : t -> string -> global
-(** Raises [Not_found]. *)
+    Each slot holds one subsystem's non-fd state (vfs's inode table,
+    netlink's family registry, the tty console, ...). A subsystem
+    registers its slots once, at module-init time, with a pure
+    constructor and a deep copy. A fresh state has every slot empty;
+    {!get} runs the constructor on first access. The constructor never
+    sees the state, so an install records no effect or lock event, and
+    a run's results cannot depend on when a slot was installed. *)
+
+type 'a slot
+
+val slot : name:string -> create:(unit -> 'a) -> copy:('a -> 'a) -> 'a slot
+(** Register a slot. Module-init time only: the registry is read-only
+    once {!Kernel.force_init} has run. Raises [Invalid_argument] on a
+    duplicate name. *)
+
+val get : t -> 'a slot -> 'a
+(** The slot's value, built by its constructor on first access. *)
+
+val installed : t -> string list
+(** Names of the slots built so far, in registration order. *)
 
 (** {2 Snapshots} *)
 
-val copy :
-  copy_kind:(fd_kind -> fd_kind) ->
-  copy_global:(string -> global -> global) ->
-  t ->
-  t
+val copy : copy_kind:(fd_kind -> fd_kind) -> t -> t
 (** Deep-copy the state so execution can resume from it later without
-    disturbing the original. [copy_kind] / [copy_global] clone the
-    subsystem-owned payloads ({!Kernel.copy} assembles them from the
+    disturbing the original. Installed slots are cloned with their
+    registered copy and empty ones stay empty. [copy_kind] clones the
+    subsystem-owned fd payloads ({!Kernel.copy} assembles it from the
     per-subsystem hooks); the fd table preserves [dup_fd] aliasing
     (two descriptor numbers sharing one entry share its copy too). *)
 

@@ -9,29 +9,16 @@ type file_op = {
 type t = {
   name : string;
   descriptions : string;
-  init : State.t -> unit;
   handlers : (string * handler) list;
   file_ops : file_op list;
   copy_kind : State.fd_kind -> State.fd_kind option;
-  copy_global : State.global -> State.global option;
   locks : (string * Lock.spec) list;
   effects : (string * Effect.spec) list;
 }
 
-let make ?(init = fun _ -> ()) ?(handlers = []) ?(file_ops = [])
-    ?(copy_kind = fun _ -> None) ?(copy_global = fun _ -> None) ?(locks = [])
-    ?(effects = []) ~name ~descriptions () =
-  {
-    name;
-    descriptions;
-    init;
-    handlers;
-    file_ops;
-    copy_kind;
-    copy_global;
-    locks;
-    effects;
-  }
+let make ?(handlers = []) ?(file_ops = []) ?(copy_kind = fun _ -> None)
+    ?(locks = []) ?(effects = []) ~name ~descriptions () =
+  { name; descriptions; handlers; file_ops; copy_kind; locks; effects }
 
 let locked classes h ctx args =
   let rec go = function

@@ -1,8 +1,10 @@
 (** Subsystem plumbing: each simulated kernel subsystem bundles its
-    Syzlang descriptions, an initializer for its global state, exact
-    handlers for its specialized syscalls, and optional implementations
-    of the generic file operations ([read]/[write]/[mmap]/[ftruncate]
-    ...), mirroring Linux's [file_operations] dispatch. *)
+    Syzlang descriptions, exact handlers for its specialized syscalls,
+    and optional implementations of the generic file operations
+    ([read]/[write]/[mmap]/[ftruncate] ...), mirroring Linux's
+    [file_operations] dispatch. Its non-fd state lives in
+    {!State.slot}s it registers at module-init time; nothing runs at
+    boot. *)
 
 type handler = Ctx.t -> Arg.t list -> Ctx.result
 
@@ -15,15 +17,13 @@ type file_op = {
 type t = {
   name : string;
   descriptions : string;  (** Syzlang source for this subsystem. *)
-  init : State.t -> unit;  (** Install global state at boot. *)
   handlers : (string * handler) list;  (** Exact syscall-name handlers. *)
   file_ops : file_op list;
   copy_kind : State.fd_kind -> State.fd_kind option;
       (** Deep-copy this subsystem's fd payloads ([None] = not ours).
           Every subsystem that extends {!State.fd_kind} must handle its
-          own constructors here or {!Kernel.copy} fails loudly. *)
-  copy_global : State.global -> State.global option;
-      (** Same, for {!State.global} slots installed at boot. *)
+          own constructors here or {!Kernel.copy} fails loudly. (Its
+          {!State.slot}s carry their own copy.) *)
   locks : (string * Lock.spec) list;
       (** Declared lock specs, keyed by handler name. Deliberately
           separate from the {!locked} wrappers on the handlers
@@ -39,11 +39,9 @@ type t = {
 }
 
 val make :
-  ?init:(State.t -> unit) ->
   ?handlers:(string * handler) list ->
   ?file_ops:file_op list ->
   ?copy_kind:(State.fd_kind -> State.fd_kind option) ->
-  ?copy_global:(State.global -> State.global option) ->
   ?locks:(string * Lock.spec) list ->
   ?effects:(string * Effect.spec) list ->
   name:string ->

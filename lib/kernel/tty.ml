@@ -18,7 +18,6 @@ type console = {
 }
 
 type State.fd_kind += Tty of tty
-type State.global += Console of console
 
 let blk = Coverage.region ~name:"tty" ~size:1024
 let c ctx o = Ctx.cover ctx (blk + o)
@@ -26,14 +25,12 @@ let c ctx o = Ctx.cover ctx (blk + o)
 let n_gsm = 21
 let vcs_columns = 80 * 25
 
-let init st =
-  State.set_global st "console"
-    (Console { writes = 0; active_vt = 1; deallocated = false; vt_switches = 0 })
+let console_slot =
+  State.slot ~name:"console"
+    ~create:(fun () -> { writes = 0; active_vt = 1; deallocated = false; vt_switches = 0 })
+    ~copy:(fun c -> { c with writes = c.writes })
 
-let console_of st =
-  match State.global st "console" with
-  | Some (Console con) -> con
-  | Some _ | None -> failwith "tty: state not initialized"
+let console_of st = State.get st console_slot
 
 let fresh_tty tkind =
   {
@@ -348,12 +345,8 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Tty t -> Some (Tty { t with ldisc = t.ldisc })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Console c -> Some (Console { c with writes = c.writes })
-  | _ -> None
-
 let sub =
-  Subsystem.make ~name:"tty" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"tty" ~descriptions ~copy_kind
     ~handlers:
       [
         ("openat$ptmx", h_open Ptmx);

@@ -26,6 +26,5 @@ type console = {
 }
 
 type State.fd_kind += Tty of tty
-type State.global += Console of console
 
 val sub : Subsystem.t

@@ -36,7 +36,6 @@ type fs = {
 type State.fd_kind += File of file
 type State.fd_kind += Epoll of epoll
 type State.fd_kind += Chrfd of { mutable writes : int }
-type State.global += Fs of fs
 
 let o_creat = 0x40L
 let o_trunc = 0x200L
@@ -62,25 +61,35 @@ let s_fd_file = Effect.slot "fd:file"
 let s_fd_chr = Effect.slot "fd:chr"
 let s_fd_epoll = Effect.slot "fd:epoll"
 
+let fs_slot =
+  State.slot ~name:"fs"
+    ~create:(fun () ->
+      let fs =
+        {
+          inodes = Hashtbl.create 16;
+          aio = Hashtbl.create 8;
+          next_aio = 1L;
+          chr = { registered = false; opens = 0; active = false };
+        }
+      in
+      (* Files that exist at boot. *)
+      Hashtbl.replace fs.inodes "/etc/passwd"
+        { size = 2048L; nlink = 1; exists = true; last_stat = 0; open_fds = 0; is_dir = false; locked_ex = false };
+      fs)
+    ~copy:(fun fs ->
+      {
+        inodes = State.copy_tbl (fun (i : inode) -> { i with size = i.size }) fs.inodes;
+        aio =
+          State.copy_tbl
+            (fun (a : aio_ctx_state) -> { a with inflight = a.inflight })
+            fs.aio;
+        next_aio = fs.next_aio;
+        chr = { fs.chr with opens = fs.chr.opens };
+      })
+
 let fs_of st =
   State.record_read st s_fs;
-  match State.global st "fs" with
-  | Some (Fs fs) -> fs
-  | Some _ | None -> failwith "vfs: state not initialized"
-
-let init st =
-  let fs =
-    {
-      inodes = Hashtbl.create 16;
-      aio = Hashtbl.create 8;
-      next_aio = 1L;
-      chr = { registered = false; opens = 0; active = false };
-    }
-  in
-  (* Files that exist at boot. *)
-  Hashtbl.replace fs.inodes "/etc/passwd"
-    { size = 2048L; nlink = 1; exists = true; last_stat = 0; open_fds = 0; is_dir = false; locked_ex = false };
-  State.set_global st "fs" (Fs fs)
+  State.get st fs_slot
 
 let inode fs path = Hashtbl.find_opt fs.inodes path
 
@@ -1076,28 +1085,12 @@ let copy_kind : State.fd_kind -> State.fd_kind option = function
   | Chrfd c -> Some (Chrfd { writes = c.writes })
   | _ -> None
 
-let copy_global : State.global -> State.global option = function
-  | Fs fs ->
-    Some
-      (Fs
-         {
-           inodes =
-             State.copy_tbl (fun (i : inode) -> { i with size = i.size }) fs.inodes;
-           aio =
-             State.copy_tbl
-               (fun (a : aio_ctx_state) -> { a with inflight = a.inflight })
-               fs.aio;
-           next_aio = fs.next_aio;
-           chr = { fs.chr with opens = fs.chr.opens };
-         })
-  | _ -> None
-
 let sub =
   let l = Subsystem.locked [ vfs_files ] in
   let ep = Subsystem.locked [ ep_mutex ] in
   let w touches = Lock.scoped [ "vfs_files" ] ~touches in
   let ep_spec = Lock.scoped [ "ep_mutex" ] ~touches:[ "fd:epoll" ] in
-  Subsystem.make ~name:"vfs" ~descriptions ~init ~copy_kind ~copy_global
+  Subsystem.make ~name:"vfs" ~descriptions ~copy_kind
     ~handlers:
       [
         ("open", l h_open);

@@ -19,6 +19,7 @@ let () =
       ("compiled", Test_compiled.suite);
       ("bugs", Test_bugs.suite);
       ("kernel-core", Test_kernel_core.suite);
+      ("first-touch", Test_first_touch.suite);
       ("kernel-vfs", Test_kernel_vfs.suite);
       ("kernel-sock", Test_kernel_sock.suite);
       ("kernel-kvm-tty", Test_kernel_kvm_tty.suite);
