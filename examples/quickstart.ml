@@ -9,6 +9,7 @@ module K = Healer_kernel
 module Prog = Healer_executor.Prog
 module Value = Healer_executor.Value
 module Exec = Healer_executor.Exec
+module Blob = Healer_util.Blob
 open Healer_core
 
 let call target name args = { Prog.syscall = Target.find_exn target name; args }
@@ -23,7 +24,7 @@ let () =
     Prog.of_list
       [
         call target "memfd_create" [ Value.Ptr (Value.Str "demo"); Value.Int 3L ];
-        call target "write" [ Value.Res_ref 0; Value.Buf (Bytes.make 64 'a'); Value.Int 64L ];
+        call target "write" [ Value.Res_ref 0; Value.Buf (Blob.of_bytes (Bytes.make 64 'a')); Value.Int 64L ];
         call target "fcntl$ADD_SEALS" [ Value.Res_ref 0; Value.Int 0x409L; Value.Int 0x8L ];
         call target "mmap"
           [ Value.Vma 0x20000000L; Value.Int 4096L; Value.Int 1L; Value.Int 2L;

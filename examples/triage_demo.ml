@@ -12,6 +12,7 @@ module K = Healer_kernel
 module Prog = Healer_executor.Prog
 module Value = Healer_executor.Value
 module Exec = Healer_executor.Exec
+module Blob = Healer_util.Blob
 open Healer_core
 
 let call target name args = { Prog.syscall = Target.find_exn target name; args }
@@ -23,7 +24,7 @@ let () =
     Prog.of_list
       [
         call target "open" [ Value.Str "/etc/passwd"; Value.Int 0L; Value.Int 0L ];
-        call target "read" [ Value.Res_ref 0; Value.Buf (Bytes.make 16 '.'); Value.Int 16L ];
+        call target "read" [ Value.Res_ref 0; Value.Buf (Blob.of_bytes (Bytes.make 16 '.')); Value.Int 16L ];
         call target "socket$tcp" [ Value.Int 2L; Value.Int 1L; Value.Int 6L ];
         call target "fsync" [ Value.Res_ref 0 ];
         call target "connect" [ Value.Res_ref 2; sockaddr ];

@@ -1,5 +1,6 @@
 module Value = Healer_executor.Value
 module Rng = Healer_util.Rng
+module Blob = Healer_util.Blob
 module Ty = Healer_syzlang.Ty
 module Field = Healer_syzlang.Field
 module Target = Healer_syzlang.Target
@@ -58,11 +59,9 @@ let gen_resource rng ctx kind =
     if Rng.chance rng 0.92 then Value.Res_ref (Rng.pick rng idxs)
     else Value.Res_special (-1L)
 
-let gen_buffer rng =
-  let n = Rng.pick_arr rng buf_sizes in
-  let b = Bytes.create n in
-  Rng.fill_bytes rng b;
-  Value.Buf b
+(* A seeded range of the stream: the same bytes, and the same
+   draws, as [n] per-byte [Rng.int rng 256], none of them filled. *)
+let gen_buffer rng = Value.Buf (Blob.generate rng (Rng.pick_arr rng buf_sizes))
 
 let long_string rng =
   String.make (250 + Rng.int rng 64) (Char.chr (Char.code 'a' + Rng.int rng 26))
@@ -132,19 +131,23 @@ let mutate_int rng v =
   | 2 -> Rng.pick_arr rng magic_ints
   | _ -> Rng.bits64 rng
 
+(* Only the shrink keeps a generated buffer seeded; growing or
+   flipping a byte fills it. *)
 let mutate_buf rng b =
-  let n = Bytes.length b in
+  let n = Blob.length b in
   match Rng.int rng 3 with
-  | 0 -> Bytes.sub b 0 (Rng.int rng (n + 1)) (* shrink *)
+  | 0 -> Blob.prefix b (Rng.int rng (n + 1)) (* shrink *)
   | 1 ->
     let extra = Rng.pick_arr rng buf_sizes in
-    Bytes.cat b (Bytes.make extra '\x41') (* grow *)
+    let grown = Bytes.make (n + extra) '\x41' in
+    Blob.blit b grown 0;
+    Blob.of_bytes grown (* grow *)
   | _ ->
-    if n = 0 then Bytes.make (Rng.pick_arr rng buf_sizes) '\x00'
+    if n = 0 then Blob.of_bytes (Bytes.make (Rng.pick_arr rng buf_sizes) '\x00')
     else begin
-      let b = Bytes.copy b in
+      let b = Blob.to_bytes b in
       Bytes.set b (Rng.int rng n) (Char.chr (Rng.int rng 256));
-      b
+      Blob.of_bytes b
     end
 
 let rec mutate_value rng ctx (ty : Ty.t) v =

@@ -1,5 +1,6 @@
 module Target = Healer_syzlang.Target
 module Codec = Healer_util.Codec
+module Blob = Healer_util.Blob
 
 let magic = "HLR1"
 
@@ -19,7 +20,8 @@ let rec put_value buf (v : Value.t) =
     Codec.put_string buf s
   | Value.Buf b ->
     Buffer.add_char buf '\004';
-    Codec.put_bytes buf b
+    Codec.put_uint buf (Blob.length b);
+    Blob.add_to_buffer buf b
   | Value.Group vs ->
     Buffer.add_char buf '\005';
     Codec.put_list put_value buf vs
@@ -38,7 +40,7 @@ let rec get_value r =
   | 1 -> Value.Res_ref (Codec.uint r)
   | 2 -> Value.Res_special (Codec.svarint r)
   | 3 -> Value.Str (Codec.string r)
-  | 4 -> Value.Buf (Codec.bytes r)
+  | 4 -> Value.Buf (Blob.of_bytes (Codec.bytes r))
   | 5 -> Value.Group (Codec.list ~max:4096 r get_value)
   | 6 -> Value.Ptr (get_value r)
   | 7 -> Value.Null

@@ -1,9 +1,11 @@
+module Blob = Healer_util.Blob
+
 type t =
   | Int of int64
   | Res_ref of int
   | Res_special of int64
   | Str of string
-  | Buf of bytes
+  | Buf of Blob.t
   | Group of t list
   | Ptr of t
   | Null
@@ -44,7 +46,20 @@ let rec map_refs f v =
     if inner' == inner then v else Ptr inner'
   | Int _ | Res_special _ | Str _ | Buf _ | Null | Vma _ -> v
 
-let equal = ( = )
+(* Structural, except that buffers compare by content: a decoded
+   buffer (plain bytes) equals the generated one it was encoded from
+   (a seeded range). *)
+let rec equal a b =
+  match (a, b) with
+  | Int x, Int y | Res_special x, Res_special y | Vma x, Vma y -> Int64.equal x y
+  | Res_ref i, Res_ref j -> Int.equal i j
+  | Str x, Str y -> String.equal x y
+  | Buf x, Buf y -> Blob.equal x y
+  | Group xs, Group ys -> List.equal equal xs ys
+  | Ptr x, Ptr y -> equal x y
+  | Null, Null -> true
+  | (Int _ | Res_ref _ | Res_special _ | Str _ | Buf _ | Group _ | Ptr _ | Null | Vma _), _ ->
+    false
 
 (* The byte-size model shared by len[] resolution (Value_gen) and the
    len-consistency check (Progcheck): scalars are 8 bytes, pointers are
@@ -52,7 +67,7 @@ let equal = ( = )
 let rec byte_size = function
   | Int _ | Res_ref _ | Res_special _ | Vma _ -> 8
   | Str s -> String.length s
-  | Buf b -> Bytes.length b
+  | Buf b -> Blob.length b
   | Group vs -> List.fold_left (fun acc v -> acc + byte_size v) 0 vs
   | Ptr v -> byte_size v
   | Null -> 0
@@ -62,7 +77,7 @@ let rec pp ppf = function
   | Res_ref i -> Fmt.pf ppf "r%d" i
   | Res_special v -> Fmt.pf ppf "%Ld" v
   | Str s -> Fmt.pf ppf "%S" s
-  | Buf b -> Fmt.pf ppf "\"%d bytes\"" (Bytes.length b)
+  | Buf b -> Fmt.pf ppf "\"%d bytes\"" (Blob.length b)
   | Group vs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") pp) vs
   | Ptr v -> Fmt.pf ppf "&%a" pp v
   | Null -> Fmt.string ppf "nil"

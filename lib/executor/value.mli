@@ -9,7 +9,9 @@ type t =
   | Res_ref of int  (** The resource produced by the call at index. *)
   | Res_special of int64  (** A special value (e.g. [-1]) in a resource slot. *)
   | Str of string
-  | Buf of bytes
+  | Buf of Healer_util.Blob.t
+      (** Buffer payload. Generated buffers are seeded ranges of the
+          Rng stream whose bytes are computed only when read. *)
   | Group of t list  (** Struct or array payload. *)
   | Ptr of t  (** Pointer to a payload. *)
   | Null  (** Null pointer. *)
@@ -31,6 +33,10 @@ val map_refs : (int -> t option) -> t -> t
     [Some], recursively. Used to fix up references when calls move. *)
 
 val equal : t -> t -> bool
+(** Structural equality, with buffers compared by content
+    ({!Healer_util.Blob.equal}): a program equals its decoded copy.
+    Polymorphic [=], [compare] and [Hashtbl.hash] see a buffer's
+    representation, so they must not be used on values. *)
 
 val byte_size : t -> int
 (** Byte-size model used to resolve and validate [len\[...\]]

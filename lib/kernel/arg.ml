@@ -1,10 +1,12 @@
+module Blob = Healer_util.Blob
+
 type slot = { mutable sv : int64 }
 
 type t =
   | Int of int64
   | Slot of slot
   | Str of string
-  | Buf of bytes
+  | Buf of Blob.t
   | Rec of t list
   | Nothing
 
@@ -17,14 +19,20 @@ let as_int = function
 
 let as_fd a = Int64.to_int (as_int a)
 
-let as_buf = function
-  | Buf b -> b
-  | Str s -> Bytes.of_string s
-  | Int _ | Slot _ | Rec _ | Nothing -> Bytes.empty
+let buf_length = function
+  | Buf b -> Blob.length b
+  | Str s -> String.length s
+  | Int _ | Slot _ | Rec _ | Nothing -> 0
+
+let buf_get a i =
+  match a with
+  | Buf b -> Blob.get b i
+  | Str s -> String.get s i
+  | Int _ | Slot _ | Rec _ | Nothing -> invalid_arg "index out of bounds"
 
 let as_str = function
   | Str s -> s
-  | Buf b -> Bytes.to_string b
+  | Buf b -> Blob.to_string b
   | Int _ | Slot _ | Rec _ | Nothing -> ""
 
 let as_rec = function Rec fs -> fs | Int _ | Slot _ | Str _ | Buf _ | Nothing -> []
@@ -44,6 +52,6 @@ let rec pp ppf = function
   | Int v -> Fmt.pf ppf "0x%Lx" v
   | Slot s -> Fmt.pf ppf "0x%Lx" s.sv
   | Str s -> Fmt.pf ppf "%S" s
-  | Buf b -> Fmt.pf ppf "buf[%d]" (Bytes.length b)
+  | Buf b -> Fmt.pf ppf "buf[%d]" (Blob.length b)
   | Rec fs -> Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") pp) fs
   | Nothing -> Fmt.string ppf "nil"

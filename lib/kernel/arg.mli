@@ -17,7 +17,9 @@ type t =
   | Int of int64
   | Slot of slot  (** Compiled patch point; reads as [Int sv]. *)
   | Str of string
-  | Buf of bytes
+  | Buf of Healer_util.Blob.t
+      (** A buffer payload; generated ones are seeded ranges whose
+          bytes exist only when read (see {!buf_get}). *)
   | Rec of t list  (** Dereferenced pointer payload (struct/array). *)
   | Nothing  (** Null pointer / absent argument. *)
 
@@ -30,10 +32,21 @@ val as_int : t -> int64
 val as_fd : t -> int
 (** [as_int] truncated to [int]. *)
 
-val as_buf : t -> bytes
-(** [Buf b -> b], [Str s -> bytes of s]; otherwise empty. *)
+val buf_length : t -> int
+(** Length of the byte payload: a [Buf]'s or a [Str]'s length,
+    otherwise 0. Handlers that only need a buffer's size read it here,
+    which fills no bytes. *)
+
+val buf_get : t -> int -> char
+(** [buf_get a i] is byte [i] of the payload of a [Buf] or [Str], in
+    O(1) without filling the buffer. Raises
+    [Invalid_argument "index out of bounds"] unless
+    [0 <= i < buf_length a]. *)
 
 val as_str : t -> string
+(** [Str s -> s]; a [Buf]'s content as a string, which fills every
+    byte of a generated buffer; otherwise [""]. *)
+
 val as_rec : t -> t list
 (** [Rec fs -> fs]; otherwise []. *)
 

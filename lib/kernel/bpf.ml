@@ -61,12 +61,12 @@ let with_prog ctx args k =
 let h_map_update ctx args =
   c ctx 12;
   with_map ctx args (fun m ->
-      let key = Arg.as_buf (Arg.nth args 2) in
+      let key_len = Arg.buf_length (Arg.nth args 2) in
       if m.frozen then begin
         c ctx 13;
         Ctx.err Errno.EPERM
       end
-      else if Int64.compare (Int64.of_int (Bytes.length key)) m.key_size < 0
+      else if Int64.compare (Int64.of_int key_len) m.key_size < 0
       then begin
         (* The kernel copies key_size bytes; a short buffer faults. *)
         c ctx 14;
@@ -196,8 +196,7 @@ let h_prog_detach ctx args =
 let h_prog_test_run ctx args =
   c ctx 90;
   with_prog ctx args (fun p ->
-      let data = Arg.as_buf (Arg.nth args 2) in
-      let n = Bytes.length data in
+      let n = Arg.buf_length (Arg.nth args 2) in
       if n = 0 then begin
         c ctx 91;
         Ctx.err Errno.EINVAL

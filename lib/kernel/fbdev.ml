@@ -185,7 +185,7 @@ let h_cursor ctx args =
 let fb_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Fb fb ->
-    let n = Bytes.length (Arg.as_buf (Arg.nth args 1)) in
+    let n = Arg.buf_length (Arg.nth args 1) in
     c ctx 39;
     if Int64.compare fb.font_height 0L > 0 then c ctx 40;
     if n > 4096 then c ctx 41 else c ctx 42;

@@ -110,9 +110,9 @@ let h_timerfd_settime ctx args =
 let event_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Eventfd ev ->
-    let buf = Arg.as_buf (Arg.nth args 1) in
+    let n = Arg.buf_length (Arg.nth args 1) in
     c ctx 16;
-    if Bytes.length buf < 8 then begin
+    if n < 8 then begin
       c ctx 17;
       Ctx.err Errno.EINVAL
     end
@@ -330,7 +330,7 @@ let with_msgq ctx args k =
 let h_msgsnd ctx args =
   c ctx 96;
   with_msgq ctx args (fun q ->
-      let n = Bytes.length (Arg.as_buf (Arg.nth args 1)) in
+      let n = Arg.buf_length (Arg.nth args 1) in
       if n = 0 then begin
         c ctx 97;
         Ctx.err Errno.EINVAL

@@ -52,7 +52,7 @@ let ext4_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Ext4 f ->
     let j = journal_of ctx.Ctx.st in
-    let n = Bytes.length (Arg.as_buf (Arg.nth args 1)) in
+    let n = Arg.buf_length (Arg.nth args 1) in
     c ctx 7;
     f.written <- Int64.add f.written (Int64.of_int n);
     f.data_dirty_at <- State.now ctx.Ctx.st;

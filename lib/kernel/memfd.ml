@@ -94,8 +94,7 @@ let h_get_seals ctx args =
 let memfd_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Memfd m ->
-    let buf = Arg.as_buf (Arg.nth args 1) in
-    let count = Int64.of_int (Bytes.length buf) in
+    let count = Int64.of_int (Arg.buf_length (Arg.nth args 1)) in
     c ctx 20;
     State.record_read ctx.Ctx.st s_fd_memfd;
     if Int64.logand m.seals seal_write <> 0L then begin

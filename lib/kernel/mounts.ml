@@ -101,17 +101,18 @@ let h_mount_reiserfs ctx args =
     Ctx.err Errno.ENOENT
   end
   else begin
-    let opts = Arg.as_buf (Arg.nth args 2) in
+    let opts = Arg.nth args 2 in
+    let n = Arg.buf_length opts in
     c ctx 14;
     (* A journal-device option pointing into the tiny superblock
        area crashes fill_super (4.19). *)
-    if Bytes.length opts >= 4 && Bytes.get opts 0 = 'j' && Bytes.get opts 1 = 'd'
+    if n >= 4 && Arg.buf_get opts 0 = 'j' && Arg.buf_get opts 1 = 'd'
     then begin
       c ctx 15;
       Ctx.bug ctx "reiserfs_fill_super";
       Ctx.err Errno.EINVAL
     end
-    else if Bytes.length opts > 64 then begin
+    else if n > 64 then begin
       c ctx 16;
       Ctx.err Errno.EINVAL
     end

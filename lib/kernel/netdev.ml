@@ -214,8 +214,7 @@ let h_qdisc_del ctx args =
 let h_sendto_packet ctx args =
   c ctx 34;
   with_packet ctx args (fun () ->
-      let buf = Arg.as_buf (Arg.nth args 1) in
-      let n = Bytes.length buf in
+      let n = Arg.buf_length (Arg.nth args 1) in
       match dev_arg ctx args 4 with
       | _, Some dev ->
         if not dev.up then begin

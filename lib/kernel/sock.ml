@@ -238,8 +238,7 @@ let h_connect_unspec ctx args =
 let h_sendto ctx args =
   c ctx 60;
   with_sock ctx args (fun s ->
-      let buf = Arg.as_buf (Arg.nth args 1) in
-      let n = Bytes.length buf in
+      let n = Arg.buf_length (Arg.nth args 1) in
       if s.shut then begin
         c ctx 61;
         Ctx.err Errno.EPIPE
@@ -432,7 +431,7 @@ let sock_write ctx (entry : State.fd_entry) args =
     end
     else begin
       c ctx 117;
-      Ctx.ok (Int64.of_int (Bytes.length (Arg.as_buf (Arg.nth args 1))))
+      Ctx.ok (Int64.of_int (Arg.buf_length (Arg.nth args 1)))
     end
   | _ -> Ctx.err Errno.EINVAL
 

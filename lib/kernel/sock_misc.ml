@@ -235,7 +235,7 @@ let h_sendto_154 ctx args =
       in
       c ctx (100 + combo);
       ignore entry;
-      Ctx.ok (Int64.of_int (Bytes.length (Arg.as_buf (Arg.nth args 1)))))
+      Ctx.ok (Int64.of_int (Arg.buf_length (Arg.nth args 1))))
 
 let close_154 ctx (entry : State.fd_entry) _args =
   match entry.kind with

@@ -210,8 +210,7 @@ let tty_combo t =
 let tty_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Tty t -> (
-    let buf = Arg.as_buf (Arg.nth args 1) in
-    let n = Bytes.length buf in
+    let n = Arg.buf_length (Arg.nth args 1) in
     let con = console_of ctx.Ctx.st in
     c ctx 44;
     c ctx (100 + tty_combo t);

@@ -15,8 +15,8 @@ let gated ctx k =
 let h_connect ctx args =
   gated ctx (fun () ->
       c ctx 2;
-      let desc = Arg.as_buf (Arg.nth args 0) in
-      let n = Bytes.length desc in
+      let desc = Arg.nth args 0 in
+      let n = Arg.buf_length desc in
       if n < 18 then begin
         c ctx 3;
         Ctx.err Errno.EINVAL
@@ -25,7 +25,7 @@ let h_connect ctx args =
         c ctx 4;
         (* A config descriptor whose declared total length exceeds the
            payload walks past the buffer. *)
-        if n >= 20 && Char.code (Bytes.get desc 19) > 0x40 then begin
+        if n >= 20 && Char.code (Arg.buf_get desc 19) > 0x40 then begin
           c ctx 5;
           Ctx.bug ctx "usb_parse_configuration_oob"
         end;

@@ -317,8 +317,7 @@ let file_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | File f -> (
     let fs = fs_of ctx.Ctx.st in
-    let buf = Arg.as_buf (Arg.nth args 1) in
-    let count = Bytes.length buf in
+    let count = Arg.buf_length (Arg.nth args 1) in
     c ctx 40;
     match inode fs f.path with
     | None ->
@@ -619,14 +618,14 @@ let chr_write ctx (entry : State.fd_entry) args =
   match entry.kind with
   | Chrfd cw ->
     let fs = fs_of ctx.Ctx.st in
-    let buf = Arg.as_buf (Arg.nth args 1) in
+    let n = Arg.buf_length (Arg.nth args 1) in
     c ctx 115;
     State.record_write ctx.Ctx.st s_fd_chr;
     cw.writes <- cw.writes + 1;
     State.record_write ctx.Ctx.st s_fs;
     fs.chr.active <- true;
-    if Bytes.length buf > 256 then c ctx 116 else c ctx 117;
-    Ctx.ok (Int64.of_int (Bytes.length buf))
+    if n > 256 then c ctx 116 else c ctx 117;
+    Ctx.ok (Int64.of_int n)
   | _ -> Ctx.err Errno.EINVAL
 
 (* ---- mmap / munmap ---- *)
@@ -883,7 +882,7 @@ let h_pwrite ctx args =
   c ctx 249;
   with_file ctx args (fun f ->
       let fs = fs_of ctx.Ctx.st in
-      let n = Int64.of_int (Bytes.length (Arg.as_buf (Arg.nth args 1))) in
+      let n = Int64.of_int (Arg.buf_length (Arg.nth args 1)) in
       let offset = Arg.as_int (Arg.nth args 3) in
       match inode fs f.path with
       | None ->

@@ -39,16 +39,30 @@ let float t bound =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
 (* [int t 256] keeps the low 8 bits of the next output (the 62-bit
-   mask and the modulus both preserve them), so byte i is the low byte
-   of [mix64 (s + (i+1)*gamma)]. The state lives in a local for the
-   loop, so the int64s stay unboxed and nothing allocates. *)
-let fill_bytes t b =
-  let s = ref t.state in
-  for i = 0 to Bytes.length b - 1 do
-    s := Int64.add !s golden_gamma;
-    Bytes.unsafe_set b i (Char.unsafe_chr (Int64.to_int (mix64 !s) land 0xff))
-  done;
-  t.state <- !s
+   mask and the modulus both preserve them), so the byte of the
+   (i+1)-th draw from state [s] is the low byte of
+   [mix64 (s + (i+1)*gamma)]: a pure function of [s] and [i]. *)
+let skip t n =
+  if n < 0 then invalid_arg "Rng.skip: negative count";
+  let s = t.state in
+  t.state <- Int64.add s (Int64.mul (Int64.of_int n) golden_gamma);
+  s
+
+let stream_byte s i =
+  Char.unsafe_chr
+    (Int64.to_int (mix64 (Int64.add s (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
+    land 0xff)
+
+(* The running state lives in a local, so the int64s stay unboxed: the
+   loop neither allocates nor multiplies per byte. *)
+let blit_stream s i dst off n =
+  if i < 0 || n < 0 || off < 0 || off > Bytes.length dst - n then
+    invalid_arg "Rng.blit_stream";
+  let st = ref (Int64.add s (Int64.mul (Int64.of_int i) golden_gamma)) in
+  for k = off to off + n - 1 do
+    st := Int64.add !st golden_gamma;
+    Bytes.unsafe_set dst k (Char.unsafe_chr (Int64.to_int (mix64 !st) land 0xff))
+  done
 
 let chance t p =
   if p <= 0.0 then false

@@ -37,10 +37,24 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val fill_bytes : t -> Bytes.t -> unit
-(** [fill_bytes t b] overwrites [b] with exactly the bytes [n]
-    successive [Char.chr (int t 256)] draws would give, and leaves [t]
-    in the same state they would, without allocating. *)
+val skip : t -> int -> int64
+(** [skip t n] leaves [t] in the state [n] draws would, with one
+    multiply ([state + n·γ]), and returns the state [t] had before
+    them: the start of those draws' byte stream ({!stream_byte}).
+    Raises [Invalid_argument] if [n < 0]. *)
+
+val stream_byte : int64 -> int -> char
+(** [stream_byte s i] is the byte [Char.chr (int t 256)] yields on the
+    [(i+1)]-th draw from a generator in state [s]: the low byte of
+    [mix64 (s + (i+1)·γ)]. So [n] byte draws from [t] are
+    [stream_byte (skip t n) 0 .. n-1], computed in O(1) each without
+    allocating. *)
+
+val blit_stream : int64 -> int -> Bytes.t -> int -> int -> unit
+(** [blit_stream s i dst off n] writes stream bytes [i .. i+n-1] of
+    start state [s] (as {!stream_byte}) into [dst] at [off], in one
+    loop that does not allocate. Raises [Invalid_argument] if the range
+    does not fit [dst] or [i < 0]. *)
 
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p] (clamped to \[0,1\]). *)

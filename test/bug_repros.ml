@@ -175,7 +175,7 @@ let all : repro list =
     r ~v:V5_11 ~features:[ "usb" ] "usb_parse_configuration_oob" (fun () ->
         let desc = Bytes.make 24 '\x00' in
         Bytes.set desc 19 '\x50';
-        prog [ call "syz_usb_connect" [ Value.Buf desc ] ]);
+        prog [ call "syz_usb_connect" [ Value.Buf (Blob.of_bytes desc) ] ]);
     r ~v:V5_11 ~features:[ "usb" ] "hub_activate_uaf" (fun () ->
         prog
           [
@@ -587,7 +587,7 @@ let all : repro list =
         prog
           [
             call "mount$reiserfs"
-              [ s "/dev/loop0"; s "/mnt/a"; Value.Buf (Bytes.of_string "jdev=1") ];
+              [ s "/dev/loop0"; s "/mnt/a"; Value.Buf (Blob.of_bytes (Bytes.of_string "jdev=1")) ];
           ]);
     (* ---- Netlink ---- *)
     (* Truncated IFLA_INFO_KIND "vlan": the claimed 40-byte attribute

@@ -6,6 +6,7 @@ module K = Healer_kernel
 module Prog = Healer_executor.Prog
 module Value = Healer_executor.Value
 module Exec = Healer_executor.Exec
+module Blob = Healer_util.Blob
 
 let target = lazy (K.Kernel.target ())
 let tgt () = Lazy.force target
@@ -29,7 +30,7 @@ let i v = Value.Int v
 let iv v = Value.Int (Int64.of_int v)
 let r idx = Value.Res_ref idx
 let s str = Value.Str str
-let buf n = Value.Buf (Bytes.make n 'x')
+let buf n = Value.Buf (Blob.of_bytes (Bytes.make n 'x'))
 let ptr v = Value.Ptr v
 let group vs = Value.Ptr (Value.Group vs)
 let vma = Value.Vma 0x20000000L
@@ -49,6 +50,17 @@ let crash_key (r : Exec.run_result) =
 
 let check_crash what expected (r : Exec.run_result) =
   Alcotest.(check (option string)) what expected (crash_key r)
+
+(* Words allocated straight on the major heap so far. Words a minor
+   collection promotes count in both the major and the promoted figure
+   of [Gc.counters], so the difference is exact. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* Exact allocated words so far: on OCaml 5 the minor figure of
+   [Gc.counters] moves only at collections, [Gc.minor_words] anywhere. *)
+let words () = Gc.minor_words () +. direct_major_words ()
 
 (* A deterministic RNG for generation-based tests. *)
 let rng ?(seed = 42) () = Healer_util.Rng.create seed

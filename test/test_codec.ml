@@ -48,12 +48,6 @@ module type FORMAT = sig
   val bounded_alloc : bool
 end
 
-(* Exact allocated words: on OCaml 5 the minor figure of [Gc.counters]
-   moves only at collections, [Gc.minor_words] anywhere. *)
-let words () =
-  let _, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
 let uvarint v =
   let b = Buffer.create 10 in
   Codec.put_uvarint b v;

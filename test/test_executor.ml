@@ -111,7 +111,7 @@ let test_roundtrip_all_value_forms () =
         call "read"
           [
             Value.Res_special (-1L);
-            Value.Buf (Bytes.of_string "\x00\xff\x80");
+            Value.Buf (Blob.of_bytes (Bytes.of_string "\x00\xff\x80"));
             Value.Int Int64.min_int;
           ];
         call "mmap"
@@ -141,6 +141,37 @@ let test_exec_basic_flow () =
   check_ok "write" r.Exec.calls.(1);
   Alcotest.(check int64) "write count" 100L r.Exec.calls.(1).Exec.retval;
   Alcotest.(check bool) "coverage nonempty" true (r.Exec.calls.(0).Exec.cov <> [])
+
+(* A write of a generated 16 KiB buffer (2 048 words if filled) costs
+   what any two-call run does: no handler fills the buffer. Counted
+   exactly, with validation and the reference replay off and a reused
+   coverage map, as a pool runs. *)
+let test_exec_write_fills_nothing () =
+  let n = 16384 in
+  let p =
+    prog
+      [
+        call "open" [ s "/tmp/f0"; i 0x40L; i 0x1ffL ];
+        call "write" [ r 0; Value.Buf (Blob.generate (rng ()) n); iv n ];
+      ]
+  in
+  let debug = Healer_executor.Progcheck.debug_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Exec.set_reference (Some Reference.replay);
+      Healer_executor.Progcheck.set_debug debug)
+  @@ fun () ->
+  Healer_executor.Progcheck.set_debug false;
+  Exec.set_reference None;
+  let kernel = boot () and cov = K.Coverage.create () in
+  ignore (Exec.run ~cov kernel p);
+  let before = words () in
+  let _, res = Exec.run ~cov kernel p in
+  let w = words () -. before in
+  check_ok "write" res.Exec.calls.(1);
+  Alcotest.(check int64) "write count" (Int64.of_int n) res.Exec.calls.(1).Exec.retval;
+  if w >= 1024.0 then
+    Alcotest.failf "running a 16 KiB write allocated %.0f words (bound: 1024)" w
 
 let test_exec_failed_ref_degrades () =
   (* The open fails (no O_CREAT on a missing file); the dependent write
@@ -284,6 +315,7 @@ let suite =
     case "serializer roundtrip" test_roundtrip_explicit;
     case "serializer all value forms" test_roundtrip_all_value_forms;
     case "exec basic flow" test_exec_basic_flow;
+    case "exec write fills no buffer" test_exec_write_fills_nothing;
     case "exec failed ref degrades" test_exec_failed_ref_degrades;
     case "exec deterministic" test_exec_deterministic;
     case "exec crash stops program" test_exec_crash_stops;

@@ -184,6 +184,22 @@ let test_golden_generation_stream () =
     "df0c02565e7aab5f4e72eb5976005e3b"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* Generation allocates nothing directly on the major heap, where
+   every buffer of 4 KiB or more (513+ words, past the minor heap's
+   object limit) used to go. Validation is off, as in production. *)
+let test_generation_no_direct_major () =
+  let debug = Healer_executor.Progcheck.debug_enabled () in
+  Fun.protect ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
+  @@ fun () ->
+  Healer_executor.Progcheck.set_debug false;
+  let rng = Rng.create 42 in
+  let before = direct_major_words () in
+  for _ = 1 to 200 do
+    ignore (Sys.opaque_identity (Gen.generate rng (tgt ()) ~select:(random_select rng) ()))
+  done;
+  Alcotest.(check (float 0.0)) "words allocated directly on the major heap" 0.0
+    (direct_major_words () -. before)
+
 let test_golden_campaign () =
   let r =
     Campaign.run_one ~hours:1.0 ~seed:1 ~tool:Fuzzer.Healer
@@ -243,6 +259,7 @@ let suite =
     test_mutate_well_formed;
     case "gen syscall_ids" test_gen_syscall_ids;
     case "golden generation stream" test_golden_generation_stream;
+    case "generation skips the major heap" test_generation_no_direct_major;
     case "golden 1h campaign" test_golden_campaign;
     case "corpus dedup" test_corpus_dedup;
     case "corpus pick/histogram" test_corpus_pick_and_histogram;

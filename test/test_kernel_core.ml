@@ -140,9 +140,45 @@ let test_exec_call_enosys () =
   Alcotest.(check (option string)) "ENOSYS" (Some "ENOSYS")
     (Option.map K.Errno.to_string r.K.Ctx.err)
 
+(* ---- Arg buffer accessors ---- *)
+
+(* The removed [Arg.as_buf], kept as the oracle of the two accessors
+   that replaced it: [buf_length a] is its length and [buf_get a i] its
+   byte [i], raising where [Bytes.get] does. *)
+let as_buf_oracle : K.Arg.t -> bytes = function
+  | K.Arg.Buf b -> Blob.to_bytes b
+  | K.Arg.Str s -> Bytes.of_string s
+  | K.Arg.Int _ | K.Arg.Slot _ | K.Arg.Rec _ | K.Arg.Nothing -> Bytes.empty
+
+let test_arg_buf_accessors () =
+  let seeded = Blob.generate (Healer_util.Rng.create 7) 40 in
+  let outcome f = match f () with c -> Ok c | exception Invalid_argument m -> Error m in
+  List.iter
+    (fun (what, a) ->
+      let b = as_buf_oracle a in
+      Alcotest.(check int) (what ^ ": length") (Bytes.length b) (K.Arg.buf_length a);
+      for i = -1 to Bytes.length b do
+        Alcotest.(check (result char string))
+          (Printf.sprintf "%s: byte %d" what i)
+          (outcome (fun () -> Bytes.get b i))
+          (outcome (fun () -> K.Arg.buf_get a i))
+      done)
+    [
+      ("str", K.Arg.Str "jdev=/dev/loop1");
+      ("empty str", K.Arg.Str "");
+      ("seeded buf", K.Arg.Buf seeded);
+      ("plain buf", K.Arg.Buf (Blob.of_bytes (Blob.to_bytes seeded)));
+      ("empty buf", K.Arg.Buf (Blob.generate (Healer_util.Rng.create 7) 0));
+      ("int", K.Arg.Int 0x41L);
+      ("slot", K.Arg.Slot (K.Arg.slot 0x41L));
+      ("rec", K.Arg.Rec [ K.Arg.Buf seeded ]);
+      ("nothing", K.Arg.Nothing);
+    ]
+
 let suite =
   [
     case "boot/reboot preserve config" test_boot_reboot_preserve_config;
+    case "arg buf_length/buf_get" test_arg_buf_accessors;
     case "reboot resets state" test_reboot_resets_state;
     case "target memoized" test_target_memoized;
     case "subsystem_of" test_subsystem_of;

@@ -43,7 +43,7 @@ let use_call ?(f = Value.Res_ref 0) ?(v = Value.Int 5L) ?(c = Value.Int 0x42L)
     ?(arr = Value.Group [ Value.Int 1L; Value.Int 2L ])
     ?(st =
       Value.Ptr
-        (Value.Group [ Value.Buf (Bytes.make 4 'a'); Value.Int 4L; Value.Int 7L ]))
+        (Value.Group [ Value.Buf (Blob.of_bytes (Bytes.make 4 'a')); Value.Int 4L; Value.Int 7L ]))
     ?(un = Value.Ptr (Value.Group [ Value.Int 3L ])) ?(outp = Value.Null) () =
   mcall "use_thing" [ f; v; c; p; arr; st; un; outp ]
 
@@ -126,7 +126,7 @@ let test_len () =
            ~st:
              (Value.Ptr
                 (Value.Group
-                   [ Value.Buf (Bytes.make 4 'a'); Value.Int 99L; Value.Int 7L ]))
+                   [ Value.Buf (Blob.of_bytes (Bytes.make 4 'a')); Value.Int 99L; Value.Int 7L ]))
            ();
        ])
 

@@ -2,6 +2,7 @@ module Rng = Healer_util.Rng
 module Bitset = Healer_util.Bitset
 module Statx = Healer_util.Statx
 module Vclock = Healer_util.Vclock
+module Serializer = Healer_executor.Serializer
 open Helpers
 
 let test_rng_deterministic () =
@@ -83,32 +84,107 @@ let test_rng_chance_extremes () =
   Alcotest.(check bool) "p=0 never" false (Rng.chance rng 0.0);
   Alcotest.(check bool) "p=1 always" true (Rng.chance rng 1.0)
 
-(* The per-byte loop [fill_bytes] replaced, kept as its oracle. *)
-let fill_bytes_oracle rng b =
-  for i = 0 to Bytes.length b - 1 do
-    Bytes.set b i (Char.chr (Rng.int rng 256))
-  done
+(* ---- Blob: seeded ranges of the Rng byte stream ---- *)
 
-let test_rng_fill_bytes_oracle =
-  qcheck ~count:100 "fill_bytes matches per-byte draws"
+(* The per-byte draws a generated blob stands for, kept as its oracle. *)
+let per_byte_draws rng n = Bytes.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+let test_blob_generate_oracle =
+  qcheck ~count:100 "blob generate matches per-byte draws"
     QCheck2.Gen.(pair int (int_range 0 20_000))
     (fun (seed, n) ->
       let a = Rng.create seed in
       let b = Rng.copy a in
-      let bulk = Bytes.make n '\x00' and oracle = Bytes.make n '\xff' in
-      Rng.fill_bytes a bulk;
-      fill_bytes_oracle b oracle;
-      Bytes.equal bulk oracle && Int64.equal (Rng.bits64 a) (Rng.bits64 b))
+      let blob = Blob.generate a n in
+      Bytes.equal (Blob.to_bytes blob) (per_byte_draws b n)
+      && Int64.equal (Rng.bits64 a) (Rng.bits64 b))
 
-let test_rng_fill_bytes_no_alloc () =
+let both_forms seed n =
+  let seeded = Blob.generate (Rng.create seed) n in
+  (seeded, Blob.of_bytes (Blob.to_bytes seeded))
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_blob_get =
+  qcheck ~count:100 "blob get agrees with to_bytes"
+    QCheck2.Gen.(pair int (int_range 0 5_000))
+    (fun (seed, n) ->
+      let seeded, plain = both_forms seed n in
+      let bytes = Blob.to_bytes seeded in
+      let rec agree i =
+        i = n
+        || Char.equal (Blob.get seeded i) (Bytes.get bytes i)
+           && Char.equal (Blob.get plain i) (Bytes.get bytes i)
+           && agree (i + 1)
+      in
+      Blob.length seeded = n && agree 0
+      && List.for_all
+           (fun b -> raises_invalid (fun () -> Blob.get b n) && raises_invalid (fun () -> Blob.get b (-1)))
+           [ seeded; plain ])
+
+let test_blob_equal =
+  qcheck ~count:100 "blob equal holds across forms"
+    QCheck2.Gen.(pair int (int_range 16 5_000))
+    (fun (seed, n) ->
+      let seeded, plain = both_forms seed n in
+      let flipped = Blob.to_bytes seeded in
+      Bytes.set flipped (n / 2) (Char.chr (Char.code (Bytes.get flipped (n / 2)) lxor 1));
+      let k = n / 3 in
+      Blob.equal seeded plain && Blob.equal plain seeded && Blob.equal seeded seeded
+      && (not (Blob.equal seeded (Blob.of_bytes flipped)))
+      && (not (Blob.equal seeded (Blob.prefix plain (n - 1))))
+      && (not (Blob.equal seeded (snd (both_forms (seed + 1) n))))
+      && Blob.equal (Blob.prefix seeded k) (Blob.prefix plain k)
+      && Blob.equal (Blob.prefix seeded k) (Blob.of_bytes (Bytes.sub (Blob.to_bytes seeded) 0 k)))
+
+(* Generating is O(1) whatever the length: the same words for 0 bytes
+   as for 1 MiB, none of them on the major heap. Filling 16 KiB into an
+   existing buffer allocates nothing either. *)
+let test_blob_generate_alloc () =
   let rng = Rng.create 1 in
-  let b = Bytes.create 16384 in
-  Rng.fill_bytes rng b;
-  let before = Gc.minor_words () in
-  Rng.fill_bytes rng b;
-  let words = Gc.minor_words () -. before in
-  if words >= 64.0 then
-    Alcotest.failf "filling 16 KiB allocated %.0f words (bound: 64)" words
+  let cost n =
+    let before = words () in
+    let b = Blob.generate rng n in
+    let w = words () -. before in
+    ignore (Sys.opaque_identity b);
+    w
+  in
+  ignore (cost 0);
+  let empty = cost 0 in
+  List.iter
+    (fun n ->
+      let w = cost n in
+      if w > empty || w >= 64.0 then
+        Alcotest.failf "generating %d bytes allocated %.0f words (0 bytes: %.0f)" n w empty)
+    [ 1; 4096; 16384; 1 lsl 20 ];
+  let b = Blob.generate rng 16384 and dst = Bytes.create 16384 in
+  Blob.blit b dst 0;
+  let before = words () in
+  Blob.blit b dst 0;
+  let w = words () -. before in
+  if w >= 64.0 then Alcotest.failf "filling 16 KiB allocated %.0f words (bound: 64)" w
+
+let test_blob_serializer_roundtrip =
+  qcheck ~count:50 "generated buffers round-trip the serializer"
+    QCheck2.Gen.(pair small_int (int_range 0 20_000))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let select ~sub:_ = Rng.int rng (Target.n_syscalls (tgt ())) in
+      let g = Healer_core.Gen.generate rng (tgt ()) ~select () in
+      let k = Prog.length g in
+      let p =
+        prog
+          (Array.to_list g.Prog.calls
+          @ [ call "memfd_create" [ ptr (s "memfd"); i 0L ];
+              call "write" [ r k; Value.Buf (Blob.generate rng n); iv n ] ])
+      in
+      let encoded = Serializer.encode p in
+      let q = Serializer.decode (tgt ()) encoded in
+      String.equal (Serializer.encode q) encoded
+      && Prog.length q = Prog.length p
+      && Array.for_all2
+           (fun (a : Prog.call) (b : Prog.call) -> List.equal Value.equal a.Prog.args b.Prog.args)
+           p.Prog.calls q.Prog.calls)
 
 let test_bitset_basic () =
   let b = Bitset.create () in
@@ -235,8 +311,11 @@ let suite =
     test_rng_shuffle_permutation;
     case "rng sample" test_rng_sample;
     case "rng chance extremes" test_rng_chance_extremes;
-    test_rng_fill_bytes_oracle;
-    case "rng fill_bytes allocation" test_rng_fill_bytes_no_alloc;
+    test_blob_generate_oracle;
+    test_blob_get;
+    test_blob_equal;
+    case "blob generate allocation" test_blob_generate_alloc;
+    test_blob_serializer_roundtrip;
     case "bitset basic" test_bitset_basic;
     case "bitset add_seq" test_bitset_add_seq;
     case "bitset new_of" test_bitset_new_of;
