@@ -748,7 +748,7 @@ let hooks_smoke () =
   overhead "lockdep overhead" 1;
   overhead "effect overhead" 2
 
-(* ---- compiled-engine smoke (cheap enough for every build) ---- *)
+(* ---- execution smoke (cheap enough for every build) ---- *)
 
 let json_path = "BENCH_results.json"
 
@@ -795,22 +795,21 @@ let gate_words ?(floor = 0.0) ~what words keys =
         (Printf.sprintf "%s: %.0f allocated words, more than %.0f above the committed %.0f"
            what words slack base)
 
-(* (programs, words per Kernel.boot, per Compiled.compile, per
-   Exec.run) over the seed corpus. *)
-let exec_words : (int * float * float * float) option ref = ref None
+(* (programs, words per Kernel.boot, per Exec.run) over the seed
+   corpus. *)
+let exec_words : (int * float * float) option ref = ref None
 
-(* Compile once, execute many: exact allocated words of the three
-   stages of a run (boot, lowering, the whole Exec.run), then the
-   lowering cost, fresh-run cost, the isolated exec loop with the
-   reboot amortized away, and the warm probe loop through the opt-in
-   prefix cache. Words are counted with validation off, so they are the
-   production path's whatever HEALER_DEBUG_VALIDATE says, and each row
-   is gated at +10% over the committed one. Times use the hooks_smoke
-   min-of-batches method and are not gated. The engine's differential
-   check against the reference interpreter lives in the test suite
-   (test/test_compiled.ml). *)
-let compiled_smoke () =
-  section "Compiled execution (compile once, execute many)";
+(* Execution cost over the seed corpus: exact allocated words of a boot
+   and of a whole Exec.run, then the fresh-run cost, the exec loop with
+   the reboot amortized away, and the warm probe loop through the
+   opt-in prefix cache. Words are counted with validation off, so they
+   are the production path's whatever HEALER_DEBUG_VALIDATE says, and
+   each row is gated at +10% over the committed one. Times use the
+   hooks_smoke min-of-batches method and are not gated. The executor's
+   differential check against the reference interpreter lives in the
+   test suite (test/test_compiled.ml). *)
+let exec_smoke () =
+  section "Execution (resolve each call as it runs)";
   let module E = Healer_executor in
   let target = K.Kernel.target () in
   let kernel = K.Kernel.boot ~version:K.Version.V5_11 () in
@@ -832,16 +831,13 @@ let compiled_smoke () =
     words (fun () ->
         List.iter (fun _ -> ignore (K.Kernel.boot ~version:K.Version.V5_11 ())) progs)
   in
-  let compile_w = words (fun () -> List.iter (fun p -> ignore (E.Compiled.compile p)) progs) in
   let run_w = words (fun () -> List.iter (fun p -> ignore (E.Exec.run ~cov kernel p)) progs) in
-  exec_words := Some (nprogs, boot_w, compile_w, run_w);
+  exec_words := Some (nprogs, boot_w, run_w);
   List.iter
     (fun (what, w, key) ->
       Fmt.pr "  %-30s %12.0f@." (what ^ " words") w;
       gate_words ~what w [ "exec_words"; key ])
-    [ ("Kernel.boot", boot_w, "boot"); ("Compiled.compile", compile_w, "compile");
-      ("Exec.run", run_w, "run") ];
-  let compiled = List.map E.Compiled.compile progs in
+    [ ("Kernel.boot", boot_w, "boot"); ("Exec.run", run_w, "run") ];
   let batches = 12 and rounds = 200 in
   let measure name pass =
     ignore (pass ());
@@ -858,40 +854,29 @@ let compiled_smoke () =
     Fmt.pr "  %-30s %12.0f@." name !best;
     !best
   in
-  let compile_ns =
-    measure "compile program" (fun () ->
-        List.iter (fun p -> ignore (E.Compiled.compile p)) progs)
-  in
   let fresh =
-    measure "exec compiled (fresh)" (fun () ->
-        List.iter (fun c -> ignore (E.Exec.run_compiled ~cov kernel c)) compiled)
+    measure "exec run (fresh)" (fun () ->
+        List.iter (fun p -> ignore (E.Exec.run ~cov kernel p)) progs)
   in
   (* The exec loop itself: one reboot per corpus pass (amortized to
-     noise) isolates per-call dispatch/patch cost from the fresh-boot
+     noise) isolates per-call resolve/dispatch cost from the fresh-boot
      floor. *)
   ignore
-    (measure "exec loop compiled" (fun () ->
+    (measure "exec run (loop)" (fun () ->
          let k = K.Kernel.reboot kernel in
-         List.iter
-           (fun c -> ignore (E.Exec.run_compiled ~fresh_state:false ~cov k c))
-           compiled));
-  (* Execute-many steady state through the opt-in prefix cache: the
-     probe loop re-running programs it has seen — compiled forms reused
-     from the trie, results resumed from cached prefixes. *)
+         List.iter (fun p -> ignore (E.Exec.run ~fresh_state:false ~cov k p)) progs));
+  (* The opt-in prefix cache's best case: the probe loop re-running
+     programs it has seen, results served from the whole-program
+     table. *)
   let probe_cache = E.Exec_cache.create ~version:K.Version.V5_11 () in
   List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
   List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs;
   let warm =
-    measure "exec compiled (execute many)" (fun () ->
+    measure "exec_cache probe (warm)" (fun () ->
         List.iter (fun p -> ignore (E.Exec_cache.run probe_cache ~cov p)) progs)
   in
-  let st = E.Exec_cache.stats probe_cache in
-  Fmt.pr "  %-30s %d lowered / %d reused from trie@." "compiled calls"
-    st.E.Exec_cache.compiled_calls st.E.Exec_cache.reused_ccalls;
-  let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  Fmt.pr "  %-30s %11.1fx@." "compile cost vs one fresh run"
-    (ratio compile_ns fresh);
-  Fmt.pr "  %-30s %11.1fx@." "execute-many speedup" (ratio fresh warm)
+  Fmt.pr "  %-30s %11.1fx@." "warm probe speedup"
+    (if warm > 0.0 then fresh /. warm else 0.0)
 
 (* ---- sharded campaign scaling (fuzzing-as-a-service) ---- *)
 
@@ -1146,7 +1131,7 @@ let sections =
     ("fig4", fig4); ("table1", table1); ("table2", table2); ("table3", table3);
     ("fig5", fig5); ("fig6", fig6); ("table4", table4); ("table5", table5);
     ("ablation", ablation); ("micro", micro); ("cache", cache_smoke);
-    ("hooks", hooks_smoke); ("compiled", compiled_smoke);
+    ("hooks", hooks_smoke); ("exec", exec_smoke);
     ("shard", shard_smoke);
     ("wire", wire_micro); ("gen", gen_smoke);
   ]
@@ -1189,15 +1174,12 @@ let write_json ~jobs ~section_times () =
     field
       "\"exec_cache\": {\"hits\": %d, \"full_hits\": %d, \"misses\": %d, \
        \"hit_rate\": %.3f, \"evictions\": %d, \"flushes\": %d, \
-       \"resumed_calls\": %d, \"executed_calls\": %d, \
-       \"compiled_calls\": %d, \"reused_ccalls\": %d}"
+       \"resumed_calls\": %d, \"executed_calls\": %d}"
       s.Healer_executor.Exec_cache.hits s.Healer_executor.Exec_cache.full_hits
       s.Healer_executor.Exec_cache.misses rate
       s.Healer_executor.Exec_cache.evictions s.Healer_executor.Exec_cache.flushes
       s.Healer_executor.Exec_cache.resumed_calls
       s.Healer_executor.Exec_cache.executed_calls
-      s.Healer_executor.Exec_cache.compiled_calls
-      s.Healer_executor.Exec_cache.reused_ccalls
   | None -> field "\"exec_cache\": null");
   field "%s"
     (obj_list "shard" (List.rev !shard_results)
@@ -1233,11 +1215,9 @@ let write_json ~jobs ~section_times () =
       programs minor direct bytes ns
   | None -> field "\"gen\": null");
   (match !exec_words with
-  | Some (programs, boot, compile, run) ->
-    field
-      "\"exec_words\": {\"programs\": %d, \"boot\": %.1f, \"compile\": %.1f, \
-       \"run\": %.1f}"
-      programs boot compile run
+  | Some (programs, boot, run) ->
+    field "\"exec_words\": {\"programs\": %d, \"boot\": %.1f, \"run\": %.1f}"
+      programs boot run
   | None -> field "\"exec_words\": null");
   field ~last:true "%s"
     (obj_list "micro" !micro_results (fun (name, ns) ->

@@ -56,7 +56,7 @@ let () =
   Fmt.pr "Generated Syzlang:@.---@.%s---@.@." generated;
 
   let target = Target.of_string ~name:"widget" (prelude ^ generated) in
-  Fmt.pr "Compiled: %a@.@." Target.pp_summary target;
+  Fmt.pr "Target: %a@.@." Target.pp_summary target;
 
   let module A = Healer_analysis in
   (match

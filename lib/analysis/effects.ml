@@ -1,7 +1,7 @@
 (* Pass 7: effect-model drift.
 
    The checking core lives in [Healer_kernel.Effect] (shared with the
-   runtime validator in [Kernel.exec_prepared]); this pass adapts its
+   runtime validator in [Kernel.exec]); this pass adapts its
    findings onto the Diagnostic framework with stable [effect-*] IDs.
    Like lock specs, effect specs have no source position — subjects
    name the subsystem/handler instead.

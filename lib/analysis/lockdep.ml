@@ -1,7 +1,7 @@
 (* Pass 6: static lockdep over the kernel's declared lock model.
 
    The checking core lives in [Healer_kernel.Lock] (shared with the
-   runtime validator in [Kernel.exec_prepared]); this pass adapts its
+   runtime validator in [Kernel.exec]); this pass adapts its
    findings onto the Diagnostic framework with stable [lock-*] IDs.
    Lock specs have no source position — their subjects name the
    subsystem/handler or state slot instead. *)

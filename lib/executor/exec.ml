@@ -14,87 +14,99 @@ type run_result = {
 
 let skipped = { retval = -1L; errno = None; cov = []; executed = false }
 
-(* The resource value a call's result contributes to later [Res_ref]
-   arguments: its return value on success, the invalid resource (-1)
-   after an error, a crash or a skip — how a real executor passes
-   along a failed resource. *)
-let resval_of (cr : call_result) =
-  if cr.executed && cr.errno = None then cr.retval else -1L
+(* The resource value call [i] hands to a later [Res_ref i], read from
+   the results so far: its return value when it ran and succeeded, and
+   the invalid resource (-1) for a failed, crashed, unexecuted, later or
+   out-of-range call — how a real executor passes along a failed
+   resource. *)
+let resval out i =
+  if i < 0 || i >= Array.length out then -1L
+  else
+    match Array.unsafe_get out i with
+    | { executed = true; errno = None; retval; _ } -> retval
+    | _ -> -1L
 
-(* The execution loop: runs calls [start..] of [c] against [kernel] in
-   place, filling [out]. Dispatch is pre-resolved, the argument
-   skeleton is patched in place, and one recycled context serves the
-   whole run. A crash aborts the run; a fault-injected call kills the
-   executor process after it returns. [on_call] fires after each call
-   that completes without crashing or being fault-killed — the
-   execution cache uses it to snapshot prefix states mid-run. *)
-let exec_ccalls ?fault_call ?on_call kernel (c : Compiled.t) out cov start =
-  let n = Compiled.length c in
+(* A symbolic value as the handler reads it ([K.Arg.t]). A pointer
+   payload keeps its [Rec] shape, and a pointer to a scalar becomes a
+   one-field [Rec]. *)
+let rec resolve out (v : Value.t) : K.Arg.t =
+  match v with
+  | Value.Int x | Value.Res_special x | Value.Vma x -> K.Arg.Int x
+  | Value.Res_ref i -> K.Arg.Int (resval out i)
+  | Value.Str s -> K.Arg.Str s
+  | Value.Buf b -> K.Arg.Buf b
+  | Value.Group vs -> K.Arg.Rec (resolve_all out vs)
+  | Value.Ptr inner -> (
+    match resolve out inner with
+    | K.Arg.Int _ as x -> K.Arg.Rec [ x ]
+    | (K.Arg.Rec _ | K.Arg.Str _ | K.Arg.Buf _ | K.Arg.Nothing) as a -> a)
+  | Value.Null -> K.Arg.Nothing
+
+and resolve_all out = function
+  | [] -> []
+  | v :: vs -> resolve out v :: resolve_all out vs
+
+let crash_report ~idx ~call_name bug_key risk =
+  {
+    K.Crash.bug_key;
+    risk;
+    call_index = idx;
+    call_name;
+    log = K.Crash.render_log ~bug_key ~risk ~call_name;
+  }
+
+(* The execution loop: runs calls [start..] of [p] against [kernel] in
+   place, filling [out]. Each call's arguments are resolved against the
+   results so far right before it is dispatched, and one recycled
+   context serves the whole run. A crash aborts the run; a
+   fault-injected call kills the executor process after it returns.
+   [on_call] fires after each call that completes without crashing or
+   being fault-killed — the execution cache uses it to snapshot prefix
+   states mid-run. *)
+let exec_calls ?fault_call ?on_call kernel (p : Prog.t) out cov start =
+  let n = Prog.length p in
   let ctx = K.Kernel.make_ctx kernel cov in
   let crash = ref None in
-  let stop = ref false in
   let i = ref start in
-  while (not !stop) && !i < n do
+  while Option.is_none !crash && !i < n do
     let idx = !i in
-    let cc = Compiled.call c idx in
-    Compiled.patch c idx;
-    let fault = fault_call = Some idx in
+    let c = Prog.call p idx in
+    let args = resolve_all out c.Prog.args in
+    let fault = match fault_call with Some f -> f = idx | None -> false in
     K.Coverage.reset cov;
     (try
-       let r = K.Kernel.exec_prepared kernel ~ctx ~fault cc.Compiled.prep cc.Compiled.args in
-       let cr =
+       let r = K.Kernel.exec kernel ~ctx ~fault c.Prog.syscall args in
+       out.(idx) <-
          {
            retval = r.K.Ctx.ret;
            errno = r.K.Ctx.err;
            cov = K.Coverage.blocks cov;
            executed = true;
          }
-       in
-       out.(idx) <- cr;
-       Compiled.set_resval c idx (resval_of cr)
      with K.Crash.Crash { bug_key; risk } ->
-       let call_name = cc.Compiled.syscall.Healer_syzlang.Syscall.name in
        out.(idx) <-
-         {
-           retval = -1L;
-           errno = None;
-           cov = K.Coverage.blocks cov;
-           executed = true;
-         };
+         { retval = -1L; errno = None; cov = K.Coverage.blocks cov; executed = true };
        crash :=
          Some
-           {
-             K.Crash.bug_key;
-             risk;
-             call_index = idx;
-             call_name;
-             log = K.Crash.render_log ~bug_key ~risk ~call_name;
-           };
-       stop := true);
+           (crash_report ~idx
+              ~call_name:c.Prog.syscall.Healer_syzlang.Syscall.name bug_key risk));
     (* A fault-injected call kills the executor process: the kernel
        dumps core, which can itself crash (Listing 2), and the rest of
        the program never runs. *)
-    if (not !stop) && fault then begin
+    match !crash with
+    | Some _ -> ()
+    | None when fault ->
       K.Coverage.reset cov;
       (try
          K.Kernel.coredump kernel ~cov;
          let prev = out.(idx) in
          out.(idx) <- { prev with cov = prev.cov @ K.Coverage.blocks cov }
        with K.Crash.Crash { bug_key; risk } ->
-         crash :=
-           Some
-             {
-               K.Crash.bug_key;
-               risk;
-               call_index = idx;
-               call_name = "coredump";
-               log = K.Crash.render_log ~bug_key ~risk ~call_name:"coredump";
-             });
-      stop := true
-    end;
-    if not !stop then
+         crash := Some (crash_report ~idx ~call_name:"coredump" bug_key risk));
+      i := n
+    | None ->
       (match on_call with Some f -> f idx out.(idx) kernel | None -> ());
-    incr i
+      incr i
   done;
   !crash
 
@@ -125,10 +137,9 @@ let arm_oracle ~fresh kernel =
 (* Replay the run on the shadow kernel through the reference and
    require bit-identical results plus identical lock-pair coverage
    counters. The reference is the semantics of record; any divergence
-   is a compiler bug and fails loudly. *)
+   is an executor bug and fails loudly. *)
 let oracle_check ?fault_call ~what ~prefix ((replay : reference), shadow)
-    kernel_after (c : Compiled.t) (r : run_result) =
-  let p = Compiled.prog c in
+    kernel_after (p : Prog.t) (r : run_result) =
   if replay ?fault_call ~prefix shadow p <> r then
     failwith
       (Fmt.str
@@ -144,40 +155,32 @@ let oracle_check ?fault_call ~what ~prefix ((replay : reference), shadow)
           the reference interpreter on:@.%s"
          what (Prog.to_string p))
 
-(* One run of [c] on [kernel] in place, resuming after [prefix] (empty
+(* One run of [p] on [kernel] in place, resuming after [prefix] (empty
    for a whole run). [fresh] says whether [kernel] is a fresh boot,
    which lets the oracle's shadow reboot instead of deep-copying. *)
-let execute ?fault_call ?on_call ?cov ~what ~fresh ~prefix kernel
-    (c : Compiled.t) =
-  let n = Compiled.length c in
+let execute ?fault_call ?on_call ?cov ~what ~fresh ~prefix kernel (p : Prog.t) =
+  let n = Prog.length p in
   let k = Array.length prefix in
   if k > n then invalid_arg ("Exec." ^ what ^ ": prefix longer than program");
   let oracle = arm_oracle ~fresh kernel in
   let out = Array.make n skipped in
-  Compiled.reset_resvals c;
-  for i = 0 to k - 1 do
-    out.(i) <- prefix.(i);
-    Compiled.set_resval c i (resval_of prefix.(i))
-  done;
+  Array.blit prefix 0 out 0 k;
   (* Callers on the hot path (the VM pool) pass a long-lived collector
      so steady-state execution allocates no per-run dedup state. *)
   let cov = match cov with Some c -> c | None -> K.Coverage.create () in
-  let crash = exec_ccalls ?fault_call ?on_call kernel c out cov k in
+  let crash = exec_calls ?fault_call ?on_call kernel p out cov k in
   let r = { calls = out; crash } in
   Option.iter
-    (fun o -> oracle_check ?fault_call ~what ~prefix o kernel c r)
+    (fun o -> oracle_check ?fault_call ~what ~prefix o kernel p r)
     oracle;
   (kernel, r)
 
-let run_compiled ?fault_call ?(fresh_state = true) ?cov kernel c =
+let run ?fault_call ?(fresh_state = true) ?cov kernel p =
   let kernel = if fresh_state then K.Kernel.reboot kernel else kernel in
-  execute ?fault_call ?cov ~what:"run" ~fresh:fresh_state ~prefix:[||] kernel c
+  execute ?fault_call ?cov ~what:"run" ~fresh:fresh_state ~prefix:[||] kernel p
 
-let run ?fault_call ?fresh_state ?cov kernel (p : Prog.t) =
-  run_compiled ?fault_call ?fresh_state ?cov kernel (Compiled.compile p)
-
-let run_from_compiled ?cov ?on_call ~prefix kernel c =
-  execute ?cov ?on_call ~what:"run_from_compiled" ~fresh:false ~prefix kernel c
+let run_from ?cov ?on_call ~prefix kernel p =
+  execute ?cov ?on_call ~what:"run_from" ~fresh:false ~prefix kernel p
 
 (* Sorted, duplicate-free array form of a coverage trace. Minimization
    and dynamic learning compare one reference trace against many probe

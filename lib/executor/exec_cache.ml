@@ -24,13 +24,6 @@ type node = {
   result : Exec.call_result;
   mutable snap : K.Kernel.t option;
   mutable stamp : int;  (* LRU clock of the last snapshot use *)
-  (* The call's compiled form, shared by every program whose prefix
-     reaches this node (the edge encoding pins the call's bytes, so
-     one compiled form fits all of them). A mutate→execute step then
-     recompiles only the changed suffix. Valid to share because each
-     run patches a call's slots right before executing it and the
-     cache is single-domain. *)
-  ccall : Compiled.ccall;
 }
 
 type memo_entry = {
@@ -240,19 +233,6 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
       if k > 0 then t.st.hits <- t.st.hits + 1 else t.st.misses <- t.st.misses + 1;
       t.st.resumed_calls <- t.st.resumed_calls + k;
       let prefix = Array.init k (fun i -> (Option.get path.(i)).result) in
-      (* Assemble the compiled program from trie-resident compiled
-         calls where the walk matched (typically the whole shared
-         prefix), compiling only the new suffix. *)
-      let ccalls =
-        Array.init n (fun i ->
-            match path.(i) with
-            | Some nd ->
-              t.st.reused_ccalls <- t.st.reused_ccalls + 1;
-              nd.ccall
-            | None ->
-              t.st.compiled_calls <- t.st.compiled_calls + 1;
-              Compiled.compile_call (Prog.call p i))
-      in
       let record idx cr kern =
         t.st.executed_calls <- t.st.executed_calls + 1;
         let children =
@@ -274,17 +254,13 @@ let run t ?cov (p : Prog.t) : Exec.run_result =
               result = cr;
               snap = None;
               stamp = t.clock;
-              ccall = ccalls.(idx);
             }
           in
           Hashtbl.replace children keys.(idx) child;
           t.nodes <- t.nodes + 1;
           path.(idx) <- Some child
       in
-      let kernel, r =
-        Exec.run_from_compiled ~prefix ?cov ~on_call:record kernel
-          (Compiled.of_calls p ccalls)
-      in
+      let kernel, r = Exec.run_from ~prefix ?cov ~on_call:record kernel p in
       (* The finished kernel is ours alone — retain it as the
          full-program snapshot without paying a copy. *)
       (match r.Exec.crash with

@@ -32,12 +32,6 @@
     The cache only ever models simulator wall-clock: virtual-clock
     charging in the fuzzer is unchanged.
 
-    Trie nodes additionally carry the call's {!Compiled.ccall}: a
-    probe assembles
-    its compiled program from the trie for the shared prefix and
-    compiles only the new suffix, so a mutate→execute step never
-    re-lowers calls it shares with previous probes.
-
     A small per-physical-program memo additionally caches each
     program's serialized key and, once known, its crash-free result
     array: a verbatim warm re-probe (the same [Prog.t] value run
@@ -55,8 +49,10 @@ type stats = {
   mutable flushes : int;  (** Whole-trie drops at [node_capacity]. *)
   mutable resumed_calls : int;  (** Calls skipped via cached prefixes. *)
   mutable executed_calls : int;  (** Calls run live through the cache. *)
-  mutable compiled_calls : int;  (** Calls lowered by the compiled engine. *)
-  mutable reused_ccalls : int;  (** Compiled forms reused from the trie. *)
+  mutable compiled_calls : int;
+      (** Always 0: the executor lowers nothing ahead of a run. Kept
+          for [bench/perf], which reports it. *)
+  mutable reused_ccalls : int;  (** Always 0, like [compiled_calls]. *)
 }
 
 val create :

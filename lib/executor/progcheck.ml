@@ -78,9 +78,9 @@ let debug = ref (env_enabled ())
 
 (* One switch drives the whole debug-validation contract: flipping it
    also arms (or disarms) the runtime lockdep and effect-trace
-   validators down in [Kernel.exec_prepared], so `Progcheck.set_debug
-   true` — what the test suite and the dune @analyze gates do — covers
-   all three. *)
+   validators down in [Kernel.exec], so `Progcheck.set_debug true` —
+   what the test suite and the dune @analyze gates do — covers all
+   three. *)
 let set_debug b =
   debug := b;
   Healer_kernel.Lock.set_validate b;

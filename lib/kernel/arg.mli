@@ -1,21 +1,14 @@
 (** Runtime argument values as seen by a syscall handler.
 
-    The executor resolves a program's symbolic values (resource
-    references, pointers) into this flat representation before entering
-    the kernel: integers/resources become [Int] (ids), pointer payloads
-    are dereferenced into [Rec] groups, null pointers become [Nothing]. *)
-
-type slot = { mutable sv : int64 }
-(** A mutable integer cell: the compiled executor's patch point. The
-    compiler lowers every [Res_ref] to a [Slot] embedded in an
-    otherwise immutable argument skeleton; before each execution of
-    the call the runner overwrites [sv] with the producing call's
-    result. Handlers cannot distinguish a [Slot] from an [Int] holding
-    the same value — every accessor below treats them identically. *)
+    The executor resolves a call's symbolic values (resource
+    references, pointers) into this flat representation right before
+    it enters the kernel with that call: integers and resources become
+    [Int] (a resource reference reads the producing call's result),
+    pointer payloads are dereferenced into [Rec] groups, null pointers
+    become [Nothing]. *)
 
 type t =
   | Int of int64
-  | Slot of slot  (** Compiled patch point; reads as [Int sv]. *)
   | Str of string
   | Buf of Healer_util.Blob.t
       (** A buffer payload; generated ones are seeded ranges whose
@@ -23,11 +16,8 @@ type t =
   | Rec of t list  (** Dereferenced pointer payload (struct/array). *)
   | Nothing  (** Null pointer / absent argument. *)
 
-val slot : int64 -> slot
-
 val as_int : t -> int64
-(** [Int v -> v], [Slot s -> s.sv]; anything else is 0 (like reading a
-    bad register). *)
+(** [Int v -> v]; anything else is 0 (like reading a bad register). *)
 
 val as_fd : t -> int
 (** [as_int] truncated to [int]. *)

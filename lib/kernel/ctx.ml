@@ -24,9 +24,9 @@ let make ?(features = []) ?(proc = 0) ~st ~san cov =
   }
 
 (* Reset the per-call mutable fields so one context can serve every
-   call of a run — the compiled executor's steady-state path, which
-   must not allocate a context per call. Equivalent to a fresh [make]
-   with the same immutable fields. *)
+   call of a run — the executor's steady-state path, which must not
+   allocate a context per call. Equivalent to a fresh [make] with the
+   same immutable fields. *)
 let recycle ctx =
   ctx.fault_pending <- false;
   ctx.lock_held <- [];

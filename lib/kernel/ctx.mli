@@ -33,9 +33,9 @@ val make :
 
 val recycle : t -> unit
 (** Reset the per-call mutable fields ([fault_pending], lock state) so
-    one context can be reused across every call of a run — the
-    compiled executor's zero-allocation path. Equivalent to a fresh
-    {!make} with the same state/coverage/config. *)
+    one context serves every call of a run ({!Kernel.exec} recycles
+    it before each call). Equivalent to a fresh {!make} with the same
+    state/coverage/config. *)
 
 val ok : int64 -> result
 (** Success with a return value (fd, byte count...). *)
@@ -75,7 +75,7 @@ val bug_fires : t -> string -> bool
     in {!with_lock}; since the simulator is single-threaded the hooks
     never block — they account lock-pair coverage counters in
     {!State.t} and, under {!Lock.validate_enabled}, record the
-    acquisition trace that {!Kernel.exec_prepared} checks against the
+    acquisition trace that {!Kernel.exec} checks against the
     handler's declared spec. *)
 
 val acquire : t -> Lock.cls -> unit

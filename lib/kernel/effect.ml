@@ -5,7 +5,7 @@
    effect trace. The pure checking core here backs three consumers:
    the static effect-drift pass ([Healer_analysis.Effects]), the
    Eraser-style lockset race detector ([Healer_analysis.Races]) and
-   the runtime validator in [Kernel.exec_prepared] (the same
+   the runtime validator in [Kernel.exec] (the same
    HEALER_DEBUG_VALIDATE contract as Progcheck and lockdep).
 
    Like the lock model, everything is simulator-shaped: the kernel is
@@ -52,10 +52,10 @@ let covers ~declared slot =
 (* ---- runtime switches ---- *)
 
 (* Recording hooks default on (they feed the per-slot access counters
-   behind `healer analyze --effects`); HEALER_EFFECT_HOOKS=0 turns
-   them off, which the bench uses to measure their overhead.
-   Executions are bit-identical either way. *)
-let hooks = ref (Lock.env_on ~default:true "HEALER_EFFECT_HOOKS")
+   behind `healer analyze --effects`); [set_hooks false] turns them
+   off, which the bench uses to measure their overhead. Executions are
+   bit-identical either way. *)
+let hooks = ref true
 let hooks_enabled () = !hooks
 let set_hooks b = hooks := b
 

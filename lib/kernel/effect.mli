@@ -7,7 +7,7 @@
     effect trace. The pure checkers here back the static effect-drift
     pass, the Eraser-style lockset race detector, the
     write→read relation-inference pass, and the runtime validator in
-    [Kernel.exec_prepared] (same [HEALER_DEBUG_VALIDATE] contract as
+    [Kernel.exec] (same [HEALER_DEBUG_VALIDATE] contract as
     Progcheck and lockdep). *)
 
 (** {1 Specs and models} *)
@@ -42,8 +42,8 @@ val covers : declared:string list -> string -> bool
 (** {1 Runtime switches} *)
 
 val hooks_enabled : unit -> bool
-(** Effect-count recording hooks; default on, [HEALER_EFFECT_HOOKS=0]
-    disables. Executions are bit-identical either way. *)
+(** Effect-count recording hooks; default on, {!set_hooks} switches
+    them. Executions are bit-identical either way. *)
 
 val set_hooks : bool -> unit
 

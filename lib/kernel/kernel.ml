@@ -269,11 +269,12 @@ let force_init () =
 
 let blk = Coverage.region ~name:"core" ~size:64
 
-(* ---- prepared execution ---- *)
+(* ---- execution ---- *)
 
 let make_ctx k cov = Ctx.make ~features:k.features ~st:k.st ~san:k.san cov
 
-let exec_prepared k ~ctx ?(fault = false) prep args =
+let exec k ~ctx ?(fault = false) call args =
+  let prep = prepare call in
   Ctx.recycle ctx;
   ctx.Ctx.fault_pending <- fault;
   let cov = ctx.Ctx.cov in

@@ -13,7 +13,7 @@ val subsystems : unit -> Subsystem.t list
 
 val target : unit -> Healer_syzlang.Target.t
 (** The compiled description set (memoized; identical across boots).
-    Its dispatch table for {!prepare} is built with it. *)
+    Its dispatch table for {!exec} is built with it. *)
 
 val source : unit -> string
 (** The full Syzlang corpus: every subsystem's descriptions
@@ -103,32 +103,23 @@ val effect_counts : t -> (string * int * int) list
 
 (** {2 Execution}
 
-    The executor resolves each call's dispatch when it compiles a
-    program: {!prepare} reads the handler and owning subsystem from
-    the target's dispatch table, and {!exec_prepared} runs a prepared
-    call through a recycled {!Ctx.t} with no per-call allocation. *)
-
-type prepared
-(** A syscall with its handler and owning subsystem pre-resolved.
-    Valid across kernels (dispatch tables are process-global and
-    immutable after {!force_init}). *)
-
-val prepare : Healer_syzlang.Syscall.t -> prepared
-(** An array read by syscall id for the calls of {!target}. A syscall
-    from any other target resolves by name (an unknown name then runs
-    as [ENOSYS]). *)
+    The executor dispatches each call through {!exec}, which reads the
+    handler and owning subsystem from the target's dispatch table and
+    runs the call through a recycled {!Ctx.t}. *)
 
 val make_ctx : t -> Coverage.t -> Ctx.t
 (** A handler context bound to this kernel's state and the given
-    collector; recycled across every call of a compiled run. *)
+    collector; recycled across every call of a run. *)
 
-val exec_prepared :
-  t -> ctx:Ctx.t -> ?fault:bool -> prepared -> Arg.t list -> Ctx.result
-(** Execute one prepared call against the kernel. [ctx] must come
-    from {!make_ctx} on this kernel (it is {!Ctx.recycle}d first;
-    coverage lands in its collector, which the caller resets between
-    calls). [fault] injects an allocation failure into this call. May
-    raise {!Crash.Crash}. Unknown syscall names return [ENOSYS]. Under
+val exec :
+  t -> ctx:Ctx.t -> ?fault:bool -> Healer_syzlang.Syscall.t -> Arg.t list -> Ctx.result
+(** Execute one call against the kernel. The handler comes from an
+    array read by syscall id for the calls of {!target}; a syscall from
+    any other target resolves by name, and an unknown name returns
+    [ENOSYS]. [ctx] must come from {!make_ctx} on this kernel (it is
+    {!Ctx.recycle}d first; coverage lands in its collector, which the
+    caller resets between calls). [fault] injects an allocation failure
+    into this call. May raise {!Crash.Crash}. Under
     {!Lock.validate_enabled} the call's recorded lock-acquisition
     trace is checked against its declared spec and the order graph; a
     divergence raises {!Lock.Violation}. Likewise under

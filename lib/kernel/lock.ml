@@ -2,7 +2,7 @@
    (ranks), the shared-state slots each class guards, per-handler
    declared lock specs, and the pure checking core behind both the
    static lockdep pass ([Healer_analysis.Lockdep]) and the runtime
-   validator in [Kernel.exec_prepared].
+   validator in [Kernel.exec].
 
    The model is deliberately simulator-shaped: the simulated kernel is
    single-threaded, so locks never block — acquire/release hooks only
@@ -71,18 +71,18 @@ let () =
 
 (* ---- runtime switches ---- *)
 
-let env_on ?(default = false) var =
+let env_on var =
   match Sys.getenv_opt var with
-  | None -> default
+  | None -> false
   | Some v -> (
     match String.lowercase_ascii (String.trim v) with
     | "" | "0" | "false" | "no" | "off" -> false
     | _ -> true)
 
 (* Accounting hooks default on (they are the lock-pair coverage
-   signal); HEALER_LOCK_HOOKS=0 turns them off, which the bench uses
-   to measure their overhead. *)
-let hooks = ref (env_on ~default:true "HEALER_LOCK_HOOKS")
+   signal); [set_hooks false] turns them off, which the bench uses to
+   measure their overhead. *)
+let hooks = ref true
 let hooks_enabled () = !hooks
 let set_hooks b = hooks := b
 

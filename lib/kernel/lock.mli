@@ -2,7 +2,7 @@
     the shared-state slots each class guards, per-handler declared lock
     specs, and the checking core shared by the static lockdep pass
     ([Healer_analysis.Lockdep]) and the runtime validator in
-    {!Kernel.exec_prepared}.
+    {!Kernel.exec}.
 
     The simulated kernel is single-threaded, so acquire/release never
     block: the hooks account lock-pair coverage and (under debug
@@ -68,7 +68,7 @@ type model = {
 type finding = { check : string; subject : string; msg : string }
 
 exception Violation of finding
-(** Raised by the runtime validator in {!Kernel.exec_prepared} (never by
+(** Raised by the runtime validator in {!Kernel.exec} (never by
     the pure checkers below). *)
 
 val check_model :
@@ -96,15 +96,15 @@ val check_trace :
 
 (** {2 Runtime switches} *)
 
-val env_on : ?default:bool -> string -> bool
-(** Parse a boolean environment toggle (["" | 0 | false | no | off]
-    are false); shared with the other hook-bearing modules. *)
+val env_on : string -> bool
+(** Parse a boolean environment toggle (unset or
+    ["" | 0 | false | no | off] are false); shared with the other
+    hook-bearing modules. *)
 
 val hooks_enabled : unit -> bool
-(** Lock-pair accounting hooks; default on, [HEALER_LOCK_HOOKS=0]
-    disables (the bench measures their overhead). Executions are
-    bit-identical either way — the hooks only write [lock:*]
-    counters. *)
+(** Lock-pair accounting hooks; default on, {!set_hooks} switches them
+    (the bench measures their overhead). Executions are bit-identical
+    either way — the hooks only write [lock:*] counters. *)
 
 val set_hooks : bool -> unit
 

@@ -180,7 +180,7 @@ type attrs = {
 }
 
 let rec arg_size = function
-  | Arg.Int _ | Arg.Slot _ -> 8
+  | Arg.Int _ -> 8
   | Arg.Str s -> String.length s
   | Arg.Buf b -> Healer_util.Blob.length b
   | Arg.Rec fs -> List.fold_left (fun acc f -> acc + arg_size f) 0 fs

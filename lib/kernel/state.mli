@@ -136,7 +136,7 @@ val lock_slot_counts : t -> (int * int) list
     counted per slot (one read + one write counter, array-increment
     hot path); under debug validation ({!Effect.validate_enabled}) the
     current call's access trace is recorded too, for the
-    declared-vs-observed check in [Kernel.exec_prepared]. Results never
+    declared-vs-observed check in [Kernel.exec]. Results never
     depend on recording — campaigns are bit-identical hooks on/off. *)
 
 val record_read : t -> int -> unit

@@ -27,7 +27,7 @@ type t = {
   locks : (string * Lock.spec) list;
       (** Declared lock specs, keyed by handler name. Deliberately
           separate from the {!locked} wrappers on the handlers
-          themselves: the runtime validator in {!Kernel.exec_prepared}
+          themselves: the runtime validator in {!Kernel.exec}
           cross-checks actual acquisition traces against these, so the
           two cannot drift silently. *)
   effects : (string * Effect.spec) list;

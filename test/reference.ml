@@ -1,14 +1,12 @@
 (* The reference interpreter: the executor's semantics of record, kept
    in the test suite as the differential oracle for the one execution
-   engine in lib/ (Exec.run, which compiles then runs). It resolves
-   every call's arguments from the program's symbolic values on every
-   run and dispatches each call through a freshly made context, so it
-   shares only the kernel's per-call entry points with the compiled
-   loop — no argument skeletons, no patch slots, no recycled context.
-   Its crash, fault-injection and coredump handling is its own copy of
-   the executor contract. main.ml installs [replay] via
-   [Exec.set_reference], which makes every run under the suite replay
-   here and compare bit for bit. *)
+   engine in lib/ (Exec.run). It resolves every call's arguments with
+   its own resolver and dispatches each call through a freshly made
+   context, so it shares only the kernel's per-call entry points with
+   Exec's loop — no recycled context. Its crash, fault-injection and
+   coredump handling is its own copy of the executor contract. main.ml
+   installs [replay] via [Exec.set_reference], which makes every run
+   under the suite replay here and compare bit for bit. *)
 
 module K = Healer_kernel
 module Prog = Healer_executor.Prog
@@ -41,9 +39,6 @@ let rec resolve out (v : Value.t) : K.Arg.t =
     | K.Arg.Str _ as s -> s
     | K.Arg.Buf _ as b -> b
     | K.Arg.Int _ as x -> K.Arg.Rec [ x ]
-    (* [resolve] never builds patch slots; the case exists only
-       because [Arg.t] carries them for the compiled engine. *)
-    | K.Arg.Slot _ as s -> K.Arg.Rec [ s ]
     | K.Arg.Nothing -> K.Arg.Nothing)
   | Value.Null -> K.Arg.Nothing
   | Value.Vma a -> K.Arg.Int a
@@ -76,10 +71,7 @@ let replay ?fault_call ~prefix kernel (p : Prog.t) : Exec.run_result =
     let ctx = K.Kernel.make_ctx kernel cov in
     K.Coverage.reset cov;
     (try
-       let r =
-         K.Kernel.exec_prepared kernel ~ctx ~fault
-           (K.Kernel.prepare c.Prog.syscall) args
-       in
+       let r = K.Kernel.exec kernel ~ctx ~fault c.Prog.syscall args in
        let cr =
          {
            Exec.retval = r.K.Ctx.ret;

@@ -1,18 +1,15 @@
 (* The execution engine against the reference interpreter
-   (reference.ml): lowering a program once and patching resource slots
-   must be observationally identical to resolving every argument per
-   call — results, coverage, crashes and lock accounting — across
+   (reference.ml): Exec.run must be observationally identical to the
+   reference — results, coverage, crashes and lock accounting — across
    generation, mutation, minimization shapes, fault injection, the
-   seed corpus, every catalog reproducer, and the prefix cache's
-   compiled-call reuse. The suite also runs with the reference
-   installed as the executor's oracle (main.ml); the last test checks
-   that the oracle is armed. *)
+   seed corpus, every catalog reproducer, and programs whose resource
+   references point anywhere. The suite also runs with the reference
+   installed as the executor's oracle (main.ml); one test checks that
+   the oracle is armed. *)
 
 module Prog = Healer_executor.Prog
 module Value = Healer_executor.Value
-module Compiled = Healer_executor.Compiled
 module Exec = Healer_executor.Exec
-module Exec_cache = Healer_executor.Exec_cache
 module Progcheck = Healer_executor.Progcheck
 module Target = Healer_syzlang.Target
 module Rng = Healer_util.Rng
@@ -33,14 +30,14 @@ let observe_reference ?fault_call p =
   let kernel, r = Reference.run ?fault_call (boot ()) p in
   (r, K.Kernel.lock_pair_counts kernel)
 
-let observe_compiled ?fault_call c =
-  let kernel, r = Exec.run_compiled ?fault_call (boot ()) c in
+let observe_exec ?fault_call p =
+  let kernel, r = Exec.run ?fault_call (boot ()) p in
   (r, K.Kernel.lock_pair_counts kernel)
 
-(* Engines agree on generated programs pushed through mutation chains
-   (the fuzz loop's exact workload). *)
+(* Exec and the reference agree on generated programs pushed through
+   mutation chains (the fuzz loop's exact workload). *)
 let test_gen_mutate_differential =
-  qcheck ~count:60 "compiled ≡ interpreted over gen+mutate"
+  qcheck ~count:60 "Exec ≡ reference over gen+mutate"
     QCheck2.Gen.(pair small_int (int_range 0 4))
     (fun (seed, muts) ->
       let t = tgt () in
@@ -50,11 +47,11 @@ let test_gen_mutate_differential =
       for _ = 1 to muts do
         p := Mutate.mutate rng t ~select !p
       done;
-      observe_reference !p = observe_compiled (Compiled.compile !p))
+      observe_reference !p = observe_exec !p)
 
 (* Minimization probes: every single-call removal of a program. *)
 let test_minimize_shapes =
-  qcheck ~count:40 "compiled removal probes ≡ interpreted"
+  qcheck ~count:40 "removal probes ≡ reference"
     QCheck2.Gen.small_int
     (fun seed ->
       let p = gen_prog seed in
@@ -63,12 +60,12 @@ let test_minimize_shapes =
       || List.for_all
            (fun pos ->
              let q = Prog.remove p pos in
-             observe_reference q = observe_compiled (Compiled.compile q))
+             observe_reference q = observe_exec q)
            (List.init n Fun.id))
 
-(* Fault injection goes through the compiled path's coredump branch. *)
+(* Fault injection goes through the executor's coredump branch. *)
 let test_fault_differential =
-  qcheck ~count:30 "fault-injected compiled ≡ interpreted"
+  qcheck ~count:30 "fault-injected runs ≡ reference"
     QCheck2.Gen.(pair small_int (int_range 0 12))
     (fun (seed, fc) ->
       let p = gen_prog seed in
@@ -76,7 +73,7 @@ let test_fault_differential =
       else begin
         let fc = fc mod Prog.length p in
         observe_reference ~fault_call:fc p
-        = observe_compiled ~fault_call:fc (Compiled.compile p)
+        = observe_exec ~fault_call:fc p
       end)
 
 (* The whole seed corpus — the strace-style traces and Moonshine's
@@ -85,13 +82,13 @@ let test_seed_corpus_differential () =
   let t = tgt () in
   List.iter
     (fun p ->
-      if observe_reference p <> observe_compiled (Compiled.compile p) then
-        Alcotest.failf "compiled engine diverged from the reference on:@.%s"
+      if observe_reference p <> observe_exec p then
+        Alcotest.failf "Exec diverged from the reference on:@.%s"
           (Prog.to_string p))
     (Seeds.traces t @ Seeds.distilled t)
 
 (* Every catalog reproducer — crashing programs, feature-gated
-   subsystems, fault-triggered bugs — behaves identically compiled. *)
+   subsystems, fault-triggered bugs — behaves identically on both. *)
 let test_repros_differential () =
   List.iter
     (fun (rp : Bug_repros.repro) ->
@@ -101,7 +98,7 @@ let test_repros_differential () =
       in
       let fault_call = rp.Bug_repros.fault_call in
       let ki, ri = Reference.run ?fault_call (boot ()) p in
-      let kc, rc = Exec.run_compiled ?fault_call (boot ()) (Compiled.compile p) in
+      let kc, rc = Exec.run ?fault_call (boot ()) p in
       if ri <> rc then
         Alcotest.failf "engine divergence on reproducer %s" rp.Bug_repros.key;
       if K.Kernel.lock_pair_counts ki <> K.Kernel.lock_pair_counts kc then
@@ -109,32 +106,43 @@ let test_repros_differential () =
           rp.Bug_repros.key)
     Bug_repros.all
 
-(* Compiled-call reuse in the trie: a probe sharing a prefix with an
-   earlier run re-lowers only its new suffix. *)
-let test_cache_ccall_reuse () =
-  let cache = Exec_cache.create ~version:K.Version.V5_11 () in
-  let p =
-    prog
-      [
-        call "open" [ s "/etc/passwd"; i 0L; i 0L ];
-        call "read" [ r 0; buf 16; iv 16 ];
-        call "close" [ r 0 ];
-      ]
-  in
-  ignore (Exec_cache.run cache p);
-  let st = Exec_cache.stats cache in
-  Alcotest.(check int) "first run lowers every call" 3
-    st.Exec_cache.compiled_calls;
-  Alcotest.(check int) "nothing reused yet" 0 st.Exec_cache.reused_ccalls;
-  (* Whole-program re-run: served from the full-result table, no
-     lowering at all. *)
-  ignore (Exec_cache.run cache p);
-  Alcotest.(check int) "full hit lowers nothing" 3 st.Exec_cache.compiled_calls;
-  (* Dropping the middle call keeps the one-call prefix: its compiled
-     form comes from the trie, only the shifted suffix is lowered. *)
-  ignore (Exec_cache.run cache (Prog.remove p 1));
-  Alcotest.(check int) "shared prefix reused" 1 st.Exec_cache.reused_ccalls;
-  Alcotest.(check int) "suffix lowered" 4 st.Exec_cache.compiled_calls
+(* The trust boundary: a corpus decoded with validation off can carry
+   references that point forward, at the call itself, past the end or
+   below zero, and pointers to anything. Each such program runs without
+   raising, every out-of-place reference reading as -1, exactly as the
+   reference runs it. *)
+let test_wild_references () =
+  let opened = call "open" [ s "/etc/passwd"; i 0L; i 0L ] in
+  let missing = call "open" [ s "/no/such/file"; i 0L; i 0L ] in
+  check_errno "the failed producer fails" (Some K.Errno.ENOENT)
+    (run (prog [ missing ])).Exec.calls.(0);
+  List.iter
+    (fun (what, p) ->
+      match observe_exec p with
+      | observed ->
+        if observe_reference p <> observed then
+          Alcotest.failf "%s: Exec diverged from the reference on:@.%s" what
+            (Prog.to_string p)
+      | exception e ->
+        Alcotest.failf "%s: Exec raised %s" what (Printexc.to_string e))
+    [
+      ("forward reference", prog [ call "close" [ r 1 ]; opened ]);
+      ("self reference", prog [ opened; call "read" [ r 1; buf 8; iv 8 ] ]);
+      ("past the end", prog [ opened; call "close" [ r (2 + 5) ] ]);
+      ("negative", prog [ opened; call "close" [ r (-1) ] ]);
+      (* lseek from the end by the failed call's result: -1 and the
+         call's raw -ENOENT land on different offsets. *)
+      ( "failed producer",
+        prog
+          [
+            missing; opened; call "read" [ r 0; buf 8; iv 8 ];
+            call "lseek" [ r 1; r 0; iv 2 ];
+          ] );
+      ("pointer to a reference", prog [ opened; call "write" [ r 0; ptr (r 0); iv 8 ] ]);
+      ( "pointer to a pointer",
+        prog [ opened; call "write" [ r 0; ptr (ptr (iv 7)); iv 8 ] ] );
+      ("pointer to null", prog [ opened; call "write" [ r 0; ptr Value.Null; iv 8 ] ]);
+    ]
 
 (* The oracle is live: a reference that disagrees on one retval makes
    both run entry points fail with the divergence message. *)
@@ -166,8 +174,7 @@ let test_oracle_armed () =
   Progcheck.set_debug true;
   Exec.set_reference (Some tampered);
   diverges "run" (fun () -> Exec.run (boot ()) p);
-  diverges "run_from_compiled" (fun () ->
-      Exec.run_from_compiled ~prefix:[||] (boot ()) (Compiled.compile p))
+  diverges "run_from" (fun () -> Exec.run_from ~prefix:[||] (boot ()) p)
 
 (* ---- Prog satellite: builder and early-exit predicates ---- *)
 
@@ -245,7 +252,7 @@ let suite =
     test_fault_differential;
     case "seed corpus agrees with the reference" test_seed_corpus_differential;
     case "catalog reproducers agree across engines" test_repros_differential;
-    case "trie reuses compiled calls" test_cache_ccall_reuse;
+    case "wild references run as the reference" test_wild_references;
     case "reference oracle is armed" test_oracle_armed;
     test_builder_equiv;
     test_predicates;

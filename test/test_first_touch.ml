@@ -95,7 +95,7 @@ let test_copy_partial () =
 (* Every syscall of the target runs the same through the dispatch
    table as through by-name resolution: a twin target compiled from
    the same source has equal names and ids but distinct syscall
-   records, so [prepare] resolves its calls by name. *)
+   records, so [Kernel.exec] resolves its calls by name. *)
 let test_prepare_matches_by_name () =
   let twin = Target.of_string ~name:"twin" (K.Kernel.source ()) in
   let outcome sc =
@@ -104,7 +104,7 @@ let test_prepare_matches_by_name () =
     let ctx = K.Kernel.make_ctx k cov in
     let args = List.map (fun _ -> K.Arg.Int 0L) sc.Syscall.args in
     let r =
-      match K.Kernel.exec_prepared k ~ctx (K.Kernel.prepare sc) args with
+      match K.Kernel.exec k ~ctx sc args with
       | r -> Ok (r.K.Ctx.ret, Option.map K.Errno.to_string r.K.Ctx.err)
       | exception e -> Error (Printexc.to_string e)
     in
@@ -127,7 +127,7 @@ let test_prepare_matches_by_name () =
   Alcotest.(check int) "phantom shares id 0" 0 phantom.Syscall.id;
   let k = boot () in
   let ctx = K.Kernel.make_ctx k (K.Coverage.create ()) in
-  let res = K.Kernel.exec_prepared k ~ctx (K.Kernel.prepare phantom) [ K.Arg.Int 0L ] in
+  let res = K.Kernel.exec k ~ctx phantom [ K.Arg.Int 0L ] in
   Alcotest.(check (option string)) "phantom is ENOSYS" (Some "ENOSYS")
     (Option.map K.Errno.to_string res.K.Ctx.err)
 

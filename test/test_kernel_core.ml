@@ -135,8 +135,7 @@ let test_exec_call_enosys () =
   let t = Target.of_string "phantom(a int32)" in
   let k = boot () in
   let ctx = K.Kernel.make_ctx k (K.Coverage.create ()) in
-  let prep = K.Kernel.prepare (Target.find_exn t "phantom") in
-  let r = K.Kernel.exec_prepared k ~ctx prep [ K.Arg.Int 0L ] in
+  let r = K.Kernel.exec k ~ctx (Target.find_exn t "phantom") [ K.Arg.Int 0L ] in
   Alcotest.(check (option string)) "ENOSYS" (Some "ENOSYS")
     (Option.map K.Errno.to_string r.K.Ctx.err)
 
@@ -148,7 +147,7 @@ let test_exec_call_enosys () =
 let as_buf_oracle : K.Arg.t -> bytes = function
   | K.Arg.Buf b -> Blob.to_bytes b
   | K.Arg.Str s -> Bytes.of_string s
-  | K.Arg.Int _ | K.Arg.Slot _ | K.Arg.Rec _ | K.Arg.Nothing -> Bytes.empty
+  | K.Arg.Int _ | K.Arg.Rec _ | K.Arg.Nothing -> Bytes.empty
 
 let test_arg_buf_accessors () =
   let seeded = Blob.generate (Healer_util.Rng.create 7) 40 in
@@ -170,7 +169,6 @@ let test_arg_buf_accessors () =
       ("plain buf", K.Arg.Buf (Blob.of_bytes (Blob.to_bytes seeded)));
       ("empty buf", K.Arg.Buf (Blob.generate (Healer_util.Rng.create 7) 0));
       ("int", K.Arg.Int 0x41L);
-      ("slot", K.Arg.Slot (K.Arg.slot 0x41L));
       ("rec", K.Arg.Rec [ K.Arg.Buf seeded ]);
       ("nothing", K.Arg.Nothing);
     ]
