@@ -886,14 +886,9 @@ let shard_results : (int * float * int * int * int * int * int) list ref =
   ref []
 
 (* Forked-coordinator communication costs: exact per-epoch wire bytes
-   of the incremental protocol against the full-state counterfactual,
-   and pipelined (async) vs lockstep (barrier) wall clock under a
-   deterministic rotating straggler. *)
-let shard_comms_stats :
-    (int * int * int * int * float * float) option ref =
-  ref None
-(* (bytes_full, bytes_incremental, steady_full, steady_incremental,
-   barrier_seconds, async_seconds) *)
+   of the incremental protocol against the full-state counterfactual. *)
+let shard_comms_stats : (int * int * int * int) option ref = ref None
+(* (full-state bytes, incremental bytes, and both for the last epoch) *)
 
 let shard_comms () =
   let module S = Healer_service in
@@ -908,26 +903,52 @@ let shard_comms () =
       slice = hours *. 3600.0 /. float_of_int epochs;
     }
   in
+  (* The full-state protocol ships every shard F(e-2) plus a frame
+     header (counted as 8 bytes) and gets back the shard's whole
+     outcome, i.e. its delta merged into F(e-2). The oracle's fronts
+     give F(e-2) without forking. *)
+  let fronts = ref [] in
+  let oracle =
+    S.Coordinator.run ~forked:false
+      ~on_epoch:(fun p -> fronts := p.S.Coordinator.state :: !fronts)
+      (S.Coordinator.initial cfg)
+  in
+  let fronts = Array.of_list (List.rev !fronts) in
+  let initial = (S.Coordinator.initial cfg).S.Checkpoint.state in
+  let full_epoch e =
+    let base = if e >= 2 then fronts.(e - 2) else initial in
+    let bcast = String.length (S.Shard_state.to_string base) + 8 in
+    List.fold_left ( + ) 0
+      (List.init jobs (fun shard ->
+           let d = S.Worker.run_epoch cfg ~shard ~epoch:e base in
+           let outcome = S.Shard_state.merge base d.S.Shard_state.outcome in
+           bcast
+           + String.length
+               (S.Shard_state.delta_to_string { d with S.Shard_state.outcome })))
+  in
   (* Byte accounting runs in lockstep: per-epoch attribution is exact
      there, and the lag-2 schedule ships the same diffs either way. *)
   let per_epoch = ref [] in
-  let last = ref (0, 0) in
+  let last = ref 0 in
   let on_epoch (p : S.Coordinator.progress) =
-    let incr_now = p.S.Coordinator.bytes_sent + p.S.Coordinator.bytes_recv in
-    let pi, pf = !last in
-    per_epoch :=
-      (p.S.Coordinator.epoch, incr_now - pi, p.S.Coordinator.bytes_full - pf)
-      :: !per_epoch;
-    last := (incr_now, p.S.Coordinator.bytes_full)
+    let now = p.S.Coordinator.bytes_sent + p.S.Coordinator.bytes_recv in
+    per_epoch := (p.S.Coordinator.epoch, now - !last) :: !per_epoch;
+    last := now
   in
   let out =
-    S.Coordinator.run ~forked:true ~mode:S.Coordinator.Barrier
-      ~measure_full:true ~on_epoch (S.Coordinator.initial cfg)
+    S.Coordinator.run ~forked:true ~mode:S.Coordinator.Barrier ~on_epoch
+      (S.Coordinator.initial cfg)
   in
+  let per_epoch = List.map (fun (e, i) -> (e, i, full_epoch e)) !per_epoch in
+  let digest (o : S.Coordinator.outcome) =
+    S.Shard_state.digest o.S.Coordinator.final.S.Checkpoint.state
+  in
+  if not (String.equal (digest out) (digest oracle)) then
+    failwith "shard_comms: forked barrier digest differs from the oracle";
   let bytes_incr =
     out.S.Coordinator.bytes_sent + out.S.Coordinator.bytes_recv
   in
-  let bytes_full = out.S.Coordinator.bytes_full in
+  let full_total = List.fold_left (fun acc (_, _, f) -> acc + f) 0 per_epoch in
   Fmt.pr "@.  incremental vs full-state sync (%d shards x %d epochs)@." jobs
     epochs;
   Fmt.pr "  %5s %12s %12s %8s@." "epoch" "incr-bytes" "full-bytes" "ratio";
@@ -935,36 +956,13 @@ let shard_comms () =
     (fun (e, i, f) ->
       Fmt.pr "  %5d %12d %12d %7.1fx@." e i f
         (float_of_int f /. float_of_int (max 1 i)))
-    (List.rev !per_epoch);
+    (List.rev per_epoch);
   let steady_incr, steady_full =
-    match !per_epoch with (_, i, f) :: _ -> (i, f) | [] -> (0, 0)
+    match per_epoch with (_, i, f) :: _ -> (i, f) | [] -> (0, 0)
   in
-  Fmt.pr "  %5s %12d %12d %7.1fx@." "total" bytes_incr bytes_full
-    (float_of_int bytes_full /. float_of_int (max 1 bytes_incr));
-  (* Wall clock with a rotating 120 ms straggler: the barrier stalls
-     every shard on it each epoch; the pipeline overlaps it. Skew only
-     sleeps, so all three digests must agree. *)
-  Unix.putenv "HEALER_SHARD_SKEW_MS" "120";
-  let timed mode =
-    let t0 = Unix.gettimeofday () in
-    let o = S.Coordinator.run ~forked:true ~mode (S.Coordinator.initial cfg) in
-    ( Unix.gettimeofday () -. t0,
-      S.Shard_state.digest o.S.Coordinator.final.S.Checkpoint.state )
-  in
-  let barrier_s, barrier_digest = timed S.Coordinator.Barrier in
-  let async_s, async_digest = timed S.Coordinator.Async in
-  Unix.putenv "HEALER_SHARD_SKEW_MS" "0";
-  let base_digest =
-    S.Shard_state.digest out.S.Coordinator.final.S.Checkpoint.state
-  in
-  if not (String.equal barrier_digest async_digest && String.equal base_digest async_digest)
-  then failwith "shard_comms: modes disagree on the final digest";
-  Fmt.pr "@.  barrier vs pipelined under a rotating 120ms straggler@.";
-  Fmt.pr "  %-28s %7.2fs@." "barrier (lockstep) wall" barrier_s;
-  Fmt.pr "  %-28s %7.2fs (digest %s, all modes)@." "async (pipelined) wall"
-    async_s async_digest;
-  shard_comms_stats :=
-    Some (bytes_full, bytes_incr, steady_full, steady_incr, barrier_s, async_s)
+  Fmt.pr "  %5s %12d %12d %7.1fx@." "total" bytes_incr full_total
+    (float_of_int full_total /. float_of_int (max 1 bytes_incr));
+  shard_comms_stats := Some (full_total, bytes_incr, steady_full, steady_incr)
 
 (* The serve path end to end: N shards, pipelined CRDT merges. Same
    total virtual budget per shard at every width, so the rows show
@@ -1189,22 +1187,21 @@ let write_json ~jobs ~section_times () =
             %d, \"corpus\": %d, \"relations\": %d, \"crashes\": %d}"
            jobs dt execs cov corp edges crashes));
   (match !shard_comms_stats with
-  | Some (bytes_full, bytes_incr, steady_full, steady_incr, barrier_s, async_s)
-    ->
+  | Some (full_total, bytes_incr, steady_full, steady_incr) ->
     let wire_ns, wire_bytes =
       match !wire_stats with Some (n, b) -> (n, b) | None -> (0.0, 0.0)
     in
     field
-      "\"shard_comms\": {\"bytes_full\": %d, \"bytes_incremental\": %d, \
-       \"ratio\": %.1f, \"steady_bytes_full\": %d, \
-       \"steady_bytes_incremental\": %d, \"steady_ratio\": %.1f, \
-       \"barrier_seconds\": %.3f, \"async_seconds\": %.3f, \
+      "\"shard_comms\": {\"full_state_bytes\": %d, \
+       \"incremental_bytes\": %d, \"ratio\": %.1f, \
+       \"steady_full_state_bytes\": %d, \"steady_incremental_bytes\": %d, \
+       \"steady_ratio\": %.1f, \
        \"wire_ns_per_frame\": %.1f, \"wire_bytes_per_frame\": %.1f}"
-      bytes_full bytes_incr
-      (float_of_int bytes_full /. float_of_int (max 1 bytes_incr))
+      full_total bytes_incr
+      (float_of_int full_total /. float_of_int (max 1 bytes_incr))
       steady_full steady_incr
       (float_of_int steady_full /. float_of_int (max 1 steady_incr))
-      barrier_s async_s wire_ns wire_bytes
+      wire_ns wire_bytes
   | None -> field "\"shard_comms\": null");
   (match !gen_stats with
   | Some (programs, minor, direct, bytes, ns) ->

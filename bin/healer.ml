@@ -783,10 +783,13 @@ let status_line (p : Service.Coordinator.progress) =
     (Service.Shard_state.digest s)
     (Unix.time ())
 
-let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
-    stop_after barrier watch status_json =
+let run_serve tool version hours seed jobs epochs checkpoint resume stop_after
+    watch status_json =
   or_die @@ fun () ->
-  if jobs < 1 then failwith "--jobs must be at least 1";
+  if jobs < 1 || jobs > Service.Checkpoint.max_jobs then
+    failwith
+      (Printf.sprintf "--jobs must be between 1 and %d"
+         Service.Checkpoint.max_jobs);
   if epochs < 1 then failwith "--epochs must be at least 1";
   let ck =
     if resume then begin
@@ -818,13 +821,12 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
         }
   in
   let cfg = ck.Service.Checkpoint.config in
-  Fmt.pr "%s on Linux %s: %d shards x %d epochs x %.2f virtual hours (seed %d%s)@."
+  Fmt.pr "%s on Linux %s: %d shards x %d epochs x %.2f virtual hours (seed %d)@."
     (Fuzzer.tool_name cfg.Service.Checkpoint.tool)
     (K.Version.to_string cfg.Service.Checkpoint.version)
     cfg.Service.Checkpoint.jobs cfg.Service.Checkpoint.epochs
     (cfg.Service.Checkpoint.slice /. 3600.0)
-    cfg.Service.Checkpoint.base_seed
-    (if no_fork then ", sequential" else "");
+    cfg.Service.Checkpoint.base_seed;
   (* Live status: a one-line JSON snapshot per closed front, written
      atomically so `healer shard-status` (or any dashboard) can poll
      it without ever observing a torn file. --watch throttles the
@@ -865,12 +867,8 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
       (Service.Shard_state.total_execs p.Service.Coordinator.state);
     emit_status p
   in
-  let mode =
-    if barrier then Service.Coordinator.Barrier else Service.Coordinator.Async
-  in
   let outcome =
-    Service.Coordinator.run ~forked:(not no_fork) ~mode
-      ?checkpoint_dir:checkpoint ?stop_after ~on_epoch ck
+    Service.Coordinator.run ?checkpoint_dir:checkpoint ?stop_after ~on_epoch ck
   in
   let final = outcome.Service.Coordinator.final in
   (* The throttle may have swallowed the last front; always leave the
@@ -886,7 +884,6 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
            respawns = outcome.Service.Coordinator.respawns;
            bytes_sent = outcome.Service.Coordinator.bytes_sent;
            bytes_recv = outcome.Service.Coordinator.bytes_recv;
-           bytes_full = outcome.Service.Coordinator.bytes_full;
          }
        ^ "\n")
   | _ -> ());
@@ -898,12 +895,11 @@ let run_serve tool version hours seed jobs epochs checkpoint resume no_fork
       final.Service.Checkpoint.config.Service.Checkpoint.epochs;
   if outcome.Service.Coordinator.respawns > 0 then
     Fmt.pr "worker deaths recovered: %d@." outcome.Service.Coordinator.respawns;
-  if not no_fork then
-    Fmt.pr "wire traffic: %d bytes out / %d bytes in (%d+%d frames)@."
-      outcome.Service.Coordinator.bytes_sent
-      outcome.Service.Coordinator.bytes_recv
-      outcome.Service.Coordinator.frames_sent
-      outcome.Service.Coordinator.frames_recv;
+  Fmt.pr "wire traffic: %d bytes out / %d bytes in (%d+%d frames)@."
+    outcome.Service.Coordinator.bytes_sent
+    outcome.Service.Coordinator.bytes_recv
+    outcome.Service.Coordinator.frames_sent
+    outcome.Service.Coordinator.frames_recv;
   Fmt.pr "%a" pp_shard_state final.Service.Checkpoint.state
 
 let checkpoint_arg =
@@ -922,8 +918,8 @@ let serve_cmd =
           pipelined (barrier-free) synchronization of relations, coverage, \
           corpus and crashes via incremental CRDT deltas, durable \
           checkpoints, automatic respawn of dead workers. $(b,--hours) is \
-          the virtual time each shard fuzzes per epoch; results are \
-          bit-identical with and without $(b,--barrier).")
+          the virtual time each shard fuzzes per epoch; results do not \
+          depend on worker timing, deaths or interruptions.")
     Term.(
       const run_serve $ tool_arg $ version_arg
       $ Arg.(
@@ -934,7 +930,7 @@ let serve_cmd =
       $ seed_arg
       $ Arg.(
           value & opt int 2
-          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker shards.")
+          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker shards (at most 256).")
       $ Arg.(
           value & opt int 4
           & info [ "e"; "epochs" ] ~docv:"N" ~doc:"Synchronization rounds.")
@@ -946,26 +942,12 @@ let serve_cmd =
                 "Continue from the checkpoint in $(b,--checkpoint) (its \
                  recorded configuration wins over the command line).")
       $ Arg.(
-          value & flag
-          & info [ "no-fork" ]
-              ~doc:
-                "Compute every shard in-process (same results as forked \
-                 mode, bit for bit).")
-      $ Arg.(
           value
           & opt (some int) None
           & info [ "stop-after-epoch" ] ~docv:"N"
               ~doc:
                 "Shut down cleanly once N epochs have completed — simulates \
                  an interrupted daemon for resume testing.")
-      $ Arg.(
-          value & flag
-          & info [ "barrier" ]
-              ~doc:
-                "Lockstep determinism oracle: wait for every shard's epoch \
-                 before dispatching the next. Same schedule, same deltas, \
-                 same final digest as the default pipelined mode — only \
-                 slower under stragglers.")
       $ Arg.(
           value
           & opt (some float) None

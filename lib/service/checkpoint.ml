@@ -21,6 +21,8 @@ type t = {
   prev : Shard_state.t;
 }
 
+let max_jobs = 256
+
 let magic = "HLRCKP"
 let format_version = '\002'
 let file dir = Filename.concat dir "healer.ckpt"
@@ -63,7 +65,7 @@ let read target r =
   let epochs = Codec.uint r in
   let slice = Codec.float r in
   let completed = Codec.uint r in
-  if jobs < 1 || completed > epochs then
+  if jobs < 1 || jobs > max_jobs || completed > epochs then
     Codec.fail ~at r "implausible campaign configuration";
   let prev = Codec.sub r (Shard_state.read target) in
   let state = Shard_state.merge prev (Shard_state.read target r) in

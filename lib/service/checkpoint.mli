@@ -19,11 +19,14 @@ exception Malformed of { format : string; offset : int; reason : string }
 type config = {
   tool : Healer_core.Fuzzer.tool;
   version : Healer_kernel.Version.t;
-  jobs : int;  (** Worker shards. *)
+  jobs : int;  (** Worker shards, 1 to {!max_jobs}. *)
   base_seed : int;
   epochs : int;  (** Planned sync rounds. *)
   slice : float;  (** Virtual seconds each shard fuzzes per epoch. *)
 }
+
+val max_jobs : int
+(** 256: two pipe ends per shard stay under [Unix.select]'s 1024. *)
 
 type t = {
   config : config;

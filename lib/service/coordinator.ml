@@ -4,7 +4,7 @@ let initial (config : Checkpoint.config) =
   let state = Shard_state.of_target (Kernel.target ()) in
   { Checkpoint.config; completed = 0; state; prev = state }
 
-type mode = Barrier | Async
+type mode = Schedule.mode = Barrier | Async
 
 type progress = {
   epoch : int;
@@ -13,7 +13,6 @@ type progress = {
   respawns : int;
   bytes_sent : int;
   bytes_recv : int;
-  bytes_full : int;
 }
 
 type outcome = {
@@ -23,11 +22,25 @@ type outcome = {
   bytes_recv : int;
   frames_sent : int;
   frames_recv : int;
-  bytes_full : int;
 }
 
-(* A worker connection: both pipe ends (with their reusable wire
-   endpoints) plus the child pid. *)
+let progress (ck : Checkpoint.t) ~respawns ~bytes_sent ~bytes_recv =
+  {
+    epoch = ck.completed - 1;
+    epochs = ck.config.epochs;
+    state = ck.state;
+    respawns;
+    bytes_sent;
+    bytes_recv;
+  }
+
+let save_opt checkpoint_dir ck =
+  match checkpoint_dir with
+  | Some dir -> Checkpoint.save ~dir ck
+  | None -> ()
+
+(* ---- the forked driver: processes and pipes around Schedule ---- *)
+
 type handle = {
   pid : int;
   to_w : Unix.file_descr;
@@ -36,14 +49,25 @@ type handle = {
   ep_in : Wire.endpoint;
 }
 
-(* A worker that dies deterministically would otherwise respawn
-   forever; cap recoveries per shard per epoch and give up loudly. *)
-let max_respawns_per_epoch = 8
-
-let ignore_sigpipe =
-  lazy
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-     with Invalid_argument _ -> ())
+(* The child process. It exits on anything it cannot absorb, and the
+   coordinator sees EOF; [_exit] skips the parent's [at_exit]. *)
+let serve cfg ~shard ~input ~output =
+  let inp = Wire.endpoint input and out = Wire.endpoint output in
+  let rec loop view =
+    match Wire.recv inp with
+    | Wire.Quit, _ -> Unix._exit 0
+    | Wire.Delta, _ -> Unix._exit 3
+    | Wire.Epoch, payload ->
+      let epoch, view = Worker.absorb view payload in
+      let d =
+        Worker.reply view (Worker.run_epoch cfg ~shard ~epoch view.Worker.base)
+      in
+      Wire.send out Wire.Delta (fun buf -> Shard_state.put_delta buf d);
+      loop view
+  in
+  try loop (Worker.fresh ()) with
+  | End_of_file -> Unix._exit 0
+  | _ -> Unix._exit 3
 
 let spawn cfg handles ~shard =
   let to_w_r, to_w_w = Unix.pipe ~cloexec:false () in
@@ -54,8 +78,7 @@ let spawn cfg handles ~shard =
        a duplicate of a worker's pipe ends, so the child drops every
        fd inherited from previously spawned siblings. *)
     Array.iter
-      (fun h ->
-        match h with
+      (function
         | Some { to_w; from_w; _ } ->
           (try Unix.close to_w with Unix.Unix_error _ -> ());
           (try Unix.close from_w with Unix.Unix_error _ -> ())
@@ -63,8 +86,7 @@ let spawn cfg handles ~shard =
       handles;
     Unix.close to_w_w;
     Unix.close from_w_r;
-    (try Worker.serve cfg ~shard ~input:to_w_r ~output:from_w_w
-     with _ -> Unix._exit 3)
+    serve cfg ~shard ~input:to_w_r ~output:from_w_w
   | pid ->
     Unix.close to_w_r;
     Unix.close from_w_w;
@@ -76,316 +98,135 @@ let spawn cfg handles ~shard =
       ep_in = Wire.endpoint from_w_r;
     }
 
-let bury h =
-  (try Unix.close h.to_w with Unix.Unix_error _ -> ());
-  (try Unix.close h.from_w with Unix.Unix_error _ -> ());
-  try ignore (Unix.waitpid [] h.pid) with Unix.Unix_error _ -> ()
-
-let save_opt checkpoint_dir ck =
-  match checkpoint_dir with
-  | Some dir -> Checkpoint.save ~dir ck
-  | None -> ()
-
-(* The schedule every mode implements: epoch [e] of every shard is
-   seeded with front [e-2] — the join of all shards' deltas through
-   epoch [e-2] (plus the campaign's initial state). The lag of one
-   extra epoch is what makes the schedule {e pipelined}: a shard can
-   start slice [e] as soon as the [e-2] front closes, without waiting
-   for the other shards' [e-1] deltas. Because the seeding inputs are
-   a deterministic function of (config, shard, epoch) — never of
-   arrival timing — barrier (lockstep) and async (overlapped)
-   execution produce byte-identical deltas, and the CRDT fold makes
-   every front, and therefore the final digest, mode-independent. *)
-let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full
-    (ck0 : Checkpoint.t) ~until =
-  Lazy.force ignore_sigpipe;
+let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode (ck0 : Checkpoint.t)
+    ~until =
+  (* A dead worker's pipe must raise EPIPE, not kill the coordinator. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+   with Invalid_argument _ -> ());
   (* Initialize every lazy kernel registry before forking: children
      must never race to build shared tables they'd then diverge on. *)
   Kernel.force_init ();
-  let target = Kernel.target () in
-  let cfg = ck0.config in
-  let jobs = cfg.jobs in
-  let c0 = ck0.completed in
+  let jobs = ck0.config.jobs in
+  let sched = Schedule.create ~mode ck0 ~until in
   let handles : handle option array = Array.make jobs None in
+  let get shard = Option.get handles.(shard) in
   let respawns = ref 0 in
-  (* Wire counters, accumulated across respawned connections. *)
-  let bytes_sent = ref 0 and bytes_recv = ref 0 in
-  let frames_sent = ref 0 and frames_recv = ref 0 in
-  let bytes_full = ref 0 in
-  let retire h =
-    bytes_sent := !bytes_sent + Wire.bytes_out h.ep_out;
-    bytes_recv := !bytes_recv + Wire.bytes_in h.ep_in;
-    frames_sent := !frames_sent + Wire.frames_out h.ep_out;
-    frames_recv := !frames_recv + Wire.frames_in h.ep_in
+  (* Wire counters of closed connections; [totals] adds the live ones. *)
+  let retired = ref (0, 0, 0, 0) in
+  let count (bs, br, fs, fr) h =
+    ( bs + Wire.bytes_out h.ep_out,
+      br + Wire.bytes_in h.ep_in,
+      fs + Wire.frames_out h.ep_out,
+      fr + Wire.frames_in h.ep_in )
   in
-  let live_bytes () =
+  let totals () =
     Array.fold_left
-      (fun (s, r) h ->
-        match h with
-        | Some h -> (s + Wire.bytes_out h.ep_out, r + Wire.bytes_in h.ep_in)
-        | None -> (s, r))
-      (!bytes_sent, !bytes_recv) handles
+      (fun acc h -> match h with Some h -> count acc h | None -> acc)
+      !retired handles
   in
-  (* Completed fronts. [get_front k] is defined for k >= -2: epochs
-     before the resume point come from the checkpoint's two stored
-     fronts (both equal the initial state on a fresh campaign). *)
-  let fronts : Shard_state.t option array = Array.make (max until 1) None in
-  let front_hi = ref (c0 - 1) in
-  let get_front k =
-    if k <= c0 - 2 then ck0.prev
-    else if k = c0 - 1 then ck0.state
-    else
-      match fronts.(k) with
-      | Some s -> s
-      | None -> invalid_arg "Coordinator: front not yet complete"
+  let retire shard =
+    let h = get shard in
+    retired := count !retired h;
+    (try Unix.close h.to_w with Unix.Unix_error _ -> ());
+    (try Unix.close h.from_w with Unix.Unix_error _ -> ());
+    (try ignore (Unix.waitpid [] h.pid) with Unix.Unix_error _ -> ());
+    handles.(shard) <- None
   in
-  (* Per-epoch collection of worker deltas. *)
-  let round : Shard_state.delta list array = Array.make (max until 1) [] in
-  let arrived = Array.make (max until 1) 0 in
-  (* Per-shard scheduling state. *)
-  let next = Array.make jobs c0 in
-  let dispatched = Array.make jobs false in
-  let held = Array.make jobs (Shard_state.of_target target) in
-  let held_tag = Array.make jobs (-1) in
-  (* -1 = fresh worker, holds the empty state *)
-  let ver = Array.make jobs 0 in
-  let budget = Array.make jobs max_respawns_per_epoch in
-  (* In steady state every shard holds the same previous front, so the
-     diff between consecutive fronts is serialized once per front, not
-     once per shard. *)
-  let diff_cache : (int * int, string) Hashtbl.t = Hashtbl.create 64 in
-  let diff_blob ~held_tag:tag ~base_state e =
-    match Hashtbl.find_opt diff_cache (tag, e) with
-    | Some blob -> blob
-    | None ->
-      let blob =
-        Shard_state.to_string
-          (Shard_state.diff ~since:base_state (get_front (e - 2)))
-      in
-      Hashtbl.replace diff_cache (tag, e) blob;
-      blob
-  in
-  let full_bcast_cache : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let full_bcast_len e =
-    match Hashtbl.find_opt full_bcast_cache e with
-    | Some n -> n
-    | None ->
-      let n = String.length (Shard_state.to_string (get_front (e - 2))) + 8 in
-      Hashtbl.replace full_bcast_cache e n;
-      n
-  in
-  let get_handle shard =
-    match handles.(shard) with Some h -> h | None -> assert false
-  in
-  let respawn ~shard =
-    (match handles.(shard) with
-    | Some h ->
-      retire h;
-      bury h
-    | None -> ());
-    handles.(shard) <- None;
+  let replace shard =
+    Schedule.died sched ~shard;
     incr respawns;
-    budget.(shard) <- budget.(shard) - 1;
-    if budget.(shard) < 0 then
-      failwith
-        (Printf.sprintf "shard %d died %d times in one epoch; giving up" shard
-           max_respawns_per_epoch);
-    handles.(shard) <- Some (spawn cfg handles ~shard);
-    held.(shard) <- Shard_state.of_target target;
-    held_tag.(shard) <- -1;
-    ver.(shard) <- 0;
-    dispatched.(shard) <- false
+    retire shard;
+    handles.(shard) <- Some (spawn ck0.config handles ~shard)
   in
-  let dependency_ready e =
-    let dep = match mode with Async -> e - 2 | Barrier -> e - 1 in
-    dep <= !front_hi
+  (* A failed send replaces the worker, and the next [due] re-issues
+     its epoch with a full diff. *)
+  let rec dispatch () =
+    match Schedule.due sched with
+    | [] -> ()
+    | frames ->
+      List.iter
+        (fun (f : Schedule.frame) ->
+          try
+            Wire.send (get f.shard).ep_out Wire.Epoch (fun buf ->
+                Shard_state.put_epoch buf ~epoch:f.epoch ~version:f.version
+                  f.diff)
+          with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
+            replace f.shard)
+        frames;
+      dispatch ()
   in
-  let rec dispatch shard =
-    let e = next.(shard) in
-    (* Computed per attempt: a respawned worker holds the empty state,
-       so its diff is wider than the one the dead worker was owed. *)
-    let blob = diff_blob ~held_tag:held_tag.(shard) ~base_state:held.(shard) e in
-    let h = get_handle shard in
-    match
-      Wire.send h.ep_out Wire.Epoch (fun buf ->
-          Shard_state.put_epoch buf ~epoch:e ~version:ver.(shard) blob)
-    with
-    | () ->
-      ver.(shard) <- ver.(shard) + 1;
-      held.(shard) <- get_front (e - 2);
-      held_tag.(shard) <- e - 2;
-      dispatched.(shard) <- true;
-      if measure_full then bytes_full := !bytes_full + full_bcast_len e
-    | exception Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
-      respawn ~shard;
-      dispatch shard
+  let receive shard =
+    match Wire.recv (get shard).ep_in with
+    | Wire.Delta, payload ->
+      if not (Schedule.deliver sched ~shard payload) then replace shard
+    | (Wire.Epoch | Wire.Quit), _ -> replace shard
+    | exception (End_of_file | Healer_util.Codec.Malformed _) -> replace shard
   in
-  let dispatch_wave () =
-    for shard = 0 to jobs - 1 do
-      if
-        (not dispatched.(shard))
-        && next.(shard) < until
-        && dependency_ready next.(shard)
-      then dispatch shard
-    done
-  in
-  let ck = ref ck0 in
-  let fire_progress k =
-    match on_epoch with
-    | Some f ->
-      let s, r = live_bytes () in
-      f
-        {
-          epoch = k;
-          epochs = cfg.epochs;
-          state = get_front k;
-          respawns = !respawns;
-          bytes_sent = s;
-          bytes_recv = r;
-          bytes_full = !bytes_full;
-        }
-    | None -> ()
-  in
-  (* Fold round [k] the moment it closes (all shards' deltas for epoch
-     [k] arrived and front [k-1] exists): this is the merge cadence
-     that advances the checkpoint. *)
-  let advance_fronts () =
+  let chaos_next = ref ck0.completed in
+  let fire_chaos f =
     while
-      !front_hi + 1 < until
-      && arrived.(!front_hi + 1) = jobs
-      && !front_hi >= c0 - 1
+      !chaos_next <= (Schedule.checkpoint sched).completed
+      && !chaos_next < until
     do
-      let k = !front_hi + 1 in
-      let f =
-        List.fold_left Shard_state.apply (get_front (k - 1))
-          (List.rev round.(k))
-      in
-      round.(k) <- [];
-      fronts.(k) <- Some f;
-      front_hi := k;
-      ck :=
-        {
-          !ck with
-          completed = k + 1;
-          state = f;
-          prev = get_front (k - 1);
-        };
-      save_opt checkpoint_dir !ck;
-      fire_progress k
+      f ~epoch:!chaos_next
+        (List.init jobs (fun shard -> (shard, (get shard).pid)));
+      incr chaos_next
     done
   in
-  let chaos_next = ref c0 in
-  let fire_chaos () =
-    match chaos with
-    | Some f ->
-      while !chaos_next <= !front_hi + 1 && !chaos_next < until do
-        f ~epoch:!chaos_next
-          (List.init jobs (fun shard -> (shard, (get_handle shard).pid)));
-        incr chaos_next
-      done
-    | None -> ()
+  let on_closed ck =
+    save_opt checkpoint_dir ck;
+    Option.iter
+      (fun f ->
+        let bytes_sent, bytes_recv, _, _ = totals () in
+        f (progress ck ~respawns:!respawns ~bytes_sent ~bytes_recv))
+      on_epoch
   in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (function
-          | Some h ->
-            (try Wire.send_frame h.to_w Wire.Quit ""
-             with Unix.Unix_error _ | Sys_error _ -> ());
-            retire h;
-            bury h
-          | None -> ())
+      Array.iteri
+        (fun shard h ->
+          Option.iter
+            (fun h ->
+              (try Wire.send_frame h.to_w Wire.Quit ""
+               with Unix.Unix_error _ | Sys_error _ -> ());
+              retire shard)
+            h)
         handles)
     (fun () ->
       for shard = 0 to jobs - 1 do
-        handles.(shard) <- Some (spawn cfg handles ~shard)
+        handles.(shard) <- Some (spawn ck0.config handles ~shard)
       done;
-      save_opt checkpoint_dir !ck;
-      while !front_hi < until - 1 do
-        dispatch_wave ();
-        fire_chaos ();
-        let fds =
-          List.filter_map
-            (fun shard ->
-              if dispatched.(shard) then Some (get_handle shard).from_w
-              else None)
-            (List.init jobs Fun.id)
-        in
-        if fds = [] then failwith "Coordinator: scheduler stalled";
+      save_opt checkpoint_dir ck0;
+      while not (Schedule.finished sched) do
+        dispatch ();
+        Option.iter fire_chaos chaos;
+        (* Idle workers are watched too: a death shows as EOF. *)
+        let fds = List.init jobs (fun shard -> (get shard).from_w) in
         let readable, _, _ =
           try Unix.select fds [] [] (-1.0)
           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
-        List.iter
-          (fun fd ->
-            let shard =
-              let found = ref (-1) in
-              Array.iteri
-                (fun i h ->
-                  match h with
-                  | Some h when h.from_w = fd -> found := i
-                  | _ -> ())
-                handles;
-              !found
-            in
-            if shard >= 0 && dispatched.(shard) then
-              let h = get_handle shard in
-              match Wire.recv h.ep_in with
-              | Wire.Delta, payload -> (
-                match Shard_state.delta_of_string target payload with
-                | d
-                  when d.Shard_state.epoch = next.(shard)
-                       && d.Shard_state.shard = shard ->
-                  let e = d.Shard_state.epoch in
-                  if measure_full then
-                    bytes_full :=
-                      !bytes_full
-                      + String.length
-                          (Shard_state.delta_to_string
-                             {
-                               d with
-                               Shard_state.outcome =
-                                 Shard_state.merge (get_front (e - 2))
-                                   d.Shard_state.outcome;
-                             });
-                  round.(e) <- d :: round.(e);
-                  arrived.(e) <- arrived.(e) + 1;
-                  next.(shard) <- e + 1;
-                  budget.(shard) <- max_respawns_per_epoch;
-                  dispatched.(shard) <- false
-                | _ -> respawn ~shard (* protocol desync *)
-                | exception Healer_util.Codec.Malformed _ -> respawn ~shard)
-              | (Wire.Epoch | Wire.Quit), _ -> respawn ~shard
-              | exception (End_of_file | Healer_util.Codec.Malformed _) ->
-                respawn ~shard)
-          readable;
-        advance_fronts ()
+        List.iter receive
+          (List.filter
+             (fun shard -> List.mem (get shard).from_w readable)
+             (List.init jobs Fun.id));
+        List.iter on_closed (Schedule.closed sched)
       done;
-      let s, r = live_bytes () in
-      bytes_sent := s;
-      bytes_recv := r;
+      let bytes_sent, bytes_recv, frames_sent, frames_recv = totals () in
       {
-        final = !ck;
+        final = Schedule.checkpoint sched;
         respawns = !respawns;
-        bytes_sent = !bytes_sent;
-        bytes_recv = !bytes_recv;
-        frames_sent =
-          Array.fold_left
-            (fun acc h ->
-              match h with
-              | Some h -> acc + Wire.frames_out h.ep_out
-              | None -> acc)
-            !frames_sent handles;
-        frames_recv =
-          Array.fold_left
-            (fun acc h ->
-              match h with
-              | Some h -> acc + Wire.frames_in h.ep_in
-              | None -> acc)
-            !frames_recv handles;
-        bytes_full = !bytes_full;
+        bytes_sent;
+        bytes_recv;
+        frames_sent;
+        frames_recv;
       })
 
+(* The independent oracle: every shard's slice of epoch [e] is computed
+   in-process from front [e-2] (the checkpoint's [prev]), then the full
+   outcomes fold into front [e-1]. Folding a full outcome or its diff
+   against [prev] is equivalent, because [prev] is contained in the
+   fold base. *)
 let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
   Kernel.force_init ();
   let cfg = ck.config in
@@ -393,32 +234,16 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
   save_opt checkpoint_dir !ck;
   while !ck.completed < until do
     let epoch = !ck.completed in
-    (* Same schedule as the forked modes: every shard's slice is
-       seeded with front [epoch - 2] (the checkpoint's [prev]), then
-       the full outcomes fold into front [epoch - 1]. Folding a full
-       outcome or its diff against [prev] is equivalent, because
-       [prev] is contained in the fold base. *)
     let base = !ck.prev in
     let deltas =
-      List.init cfg.jobs (fun shard ->
-          Worker.run_epoch cfg ~shard ~epoch base)
+      List.init cfg.jobs (fun shard -> Worker.run_epoch cfg ~shard ~epoch base)
     in
     let state = List.fold_left Shard_state.apply !ck.state deltas in
     ck := { !ck with completed = epoch + 1; state; prev = !ck.state };
     save_opt checkpoint_dir !ck;
-    match on_epoch with
-    | Some f ->
-      f
-        {
-          epoch;
-          epochs = cfg.epochs;
-          state;
-          respawns = 0;
-          bytes_sent = 0;
-          bytes_recv = 0;
-          bytes_full = 0;
-        }
-    | None -> ()
+    Option.iter
+      (fun f -> f (progress !ck ~respawns:0 ~bytes_sent:0 ~bytes_recv:0))
+      on_epoch
   done;
   {
     final = !ck;
@@ -427,16 +252,14 @@ let run_sequential ?checkpoint_dir ?on_epoch (ck : Checkpoint.t) ~until =
     bytes_recv = 0;
     frames_sent = 0;
     frames_recv = 0;
-    bytes_full = 0;
   }
 
-let run ?(forked = true) ?(mode = Async) ?(measure_full = false)
-    ?checkpoint_dir ?stop_after ?on_epoch ?chaos (ck : Checkpoint.t) =
+let run ?(forked = true) ?(mode = Async) ?checkpoint_dir ?stop_after ?on_epoch
+    ?chaos (ck : Checkpoint.t) =
   let until =
     match stop_after with
     | Some n -> min n ck.config.epochs
     | None -> ck.config.epochs
   in
-  if forked then
-    run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ~measure_full ck ~until
+  if forked then run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ck ~until
   else run_sequential ?checkpoint_dir ?on_epoch ck ~until

@@ -1,42 +1,19 @@
-(** The campaign coordinator: drives N worker shards through a
-    deterministic pipelined schedule, folds their incremental deltas
-    into merged CRDT fronts, checkpoints at every merge, and respawns
-    workers that die mid-slice.
+(** The campaign coordinator: the production driver of {!Schedule}
+    (one forked process per shard, {!Wire} frames over pipes,
+    [select], respawn), plus the in-process sequential oracle.
 
-    {b The lag-2 schedule.} Front [F_k] is the join of the campaign's
-    initial state with every shard's deltas through epoch [k]. Epoch
-    [e] of {e every} shard is seeded with exactly [F_(e-2)] (fronts
-    below the start are the initial state) — one epoch staler than a
-    lockstep barrier would use, and that slack is what removes the
-    barrier: a shard may start slice [e] the moment [F_(e-2)] closes,
-    while slower shards are still finishing epoch [e-1]. Because the
-    seed is a function of (config, shard, epoch) and never of arrival
-    timing, each delta is identical in every mode, and the CRDT fold
-    makes every front — hence the final digest — mode-independent.
-    Shards can drift at most two epochs apart, so only the newest two
-    fronts are retained (and checkpointed, see {!Checkpoint.t.prev}).
-
-    All traffic is incremental: the coordinator ships each worker the
-    {!Shard_state.diff} between the front it is due and the front it
-    already holds (serialized once per front transition, not per
-    shard), and workers answer with diffs against their base view —
-    O(new work) bytes per frame in steady state, not O(total state).
-    Worker death (EOF, [EPIPE], garbled frame, version desync) buries
-    the corpse and respawns from an empty base (full diff on the next
-    dispatch); the pure {!Worker.run_epoch} reproduces the lost delta
-    exactly, so crashes never perturb campaign results. *)
+    Worker death (EOF, [EPIPE], a frame that fails to decode, a
+    version desync) buries the corpse and respawns it from an empty
+    base (full diff on the next dispatch); the pure
+    {!Worker.run_epoch} reproduces the lost delta exactly, so crashes
+    never perturb campaign results. *)
 
 val initial : Checkpoint.config -> Checkpoint.t
 (** A fresh zero-epoch checkpoint for the booted kernel target. *)
 
-type mode =
-  | Barrier
-      (** Lockstep oracle: dispatch epoch [e] only once front [e-1] is
-          folded. Same schedule, same deltas, same digests — no
-          overlap, so stragglers stall every shard. *)
-  | Async
-      (** Pipelined (default): dispatch epoch [e] as soon as front
-          [e-2] is folded; fast shards run ahead of slow ones. *)
+type mode = Schedule.mode =
+  | Barrier  (** Lockstep: dispatch epoch [e] once front [e-1] closes. *)
+  | Async  (** Pipelined (default): once front [e-2] closes. *)
 
 type progress = {
   epoch : int;  (** Index of the front that just closed. *)
@@ -45,8 +22,6 @@ type progress = {
   respawns : int;
   bytes_sent : int;  (** Cumulative coordinator→worker wire bytes. *)
   bytes_recv : int;  (** Cumulative worker→coordinator wire bytes. *)
-  bytes_full : int;  (** Cumulative full-state counterfactual (see
-      {!outcome.bytes_full}); 0 unless [measure_full]. *)
 }
 
 type outcome = {
@@ -56,17 +31,11 @@ type outcome = {
   bytes_recv : int;
   frames_sent : int;
   frames_recv : int;
-  bytes_full : int;
-      (** Only when [measure_full]: the bytes the same campaign would
-          have moved shipping full states both ways instead of diffs
-          (the pre-incremental protocol) — the denominator for the
-          bench's bytes-reduction ratio. *)
 }
 
 val run :
   ?forked:bool ->
   ?mode:mode ->
-  ?measure_full:bool ->
   ?checkpoint_dir:string ->
   ?stop_after:int ->
   ?on_epoch:(progress -> unit) ->
@@ -90,6 +59,4 @@ val run :
     at every front close. [on_epoch] observes each closed front in
     order. [chaos] (tests only) is called once per epoch round with
     the live [(shard, pid)] list so tests can [kill] workers mid-slice
-    and exercise the respawn path. [measure_full] additionally prices
-    every frame's full-state counterfactual into [bytes_full] (bench
-    only — it serializes full states just to measure them). *)
+    and exercise the respawn path. *)

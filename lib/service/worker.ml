@@ -1,5 +1,4 @@
 module Bitset = Healer_util.Bitset
-module Serializer = Healer_executor.Serializer
 module Corpus = Healer_core.Corpus
 module Fuzzer = Healer_core.Fuzzer
 module Relation_table = Healer_core.Relation_table
@@ -53,49 +52,24 @@ let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
   in
   { Shard_state.shard; epoch; d_execs = Fuzzer.execs f; outcome }
 
-(* Bench/test-only straggler simulation: when HEALER_SHARD_SKEW_MS is
-   a positive integer, the shard whose turn it is ((epoch + shard) mod
-   jobs = 0) sleeps that long before answering — a deterministic
-   rotating slow shard that leaves results untouched but shows what
-   the pipelined coordinator buys over the barrier. *)
-let skew_ms =
-  lazy
-    (match Sys.getenv_opt "HEALER_SHARD_SKEW_MS" with
-    | Some v -> ( match int_of_string_opt v with Some n when n > 0 -> n | _ -> 0)
-    | None -> 0)
+type view = { base : Shard_state.t; version : int }
 
-let skew_sleep (cfg : Checkpoint.config) ~shard ~epoch =
-  let ms = Lazy.force skew_ms in
-  if ms > 0 && (epoch + shard) mod cfg.jobs = 0 then
-    Unix.sleepf (float_of_int ms /. 1000.0)
+let fresh () =
+  { base = Shard_state.of_target (Healer_kernel.Kernel.target ()); version = 0 }
 
-let serve (cfg : Checkpoint.config) ~shard ~input ~output =
-  let target = Healer_kernel.Kernel.target () in
-  let inp = Wire.endpoint input and out = Wire.endpoint output in
-  (* The worker's base view of the merged global state: grown only by
-     the coordinator's incremental diffs, versioned by their count so
-     a desync is caught instead of silently diverging. The fuzzing
-     outcome is shipped back as a diff against this base — O(what this
-     slice discovered) bytes, not O(total state). *)
-  let base = ref (Shard_state.of_target target) in
-  let version = ref 0 in
-  let rec loop () =
-    match Wire.recv inp with
-    | Wire.Quit, _ -> Unix._exit 0
-    | Wire.Delta, _ -> Unix._exit 3
-    | Wire.Epoch, payload ->
-      let epoch, ver, d = Shard_state.epoch_of_string target payload in
-      if ver <> !version then Unix._exit 3;
-      if not (Shard_state.is_empty d) then base := Shard_state.merge !base d;
-      incr version;
-      let d = run_epoch cfg ~shard ~epoch !base in
-      let d =
-        { d with Shard_state.outcome = Shard_state.diff ~since:!base d.outcome }
-      in
-      skew_sleep cfg ~shard ~epoch;
-      Wire.send out Wire.Delta (fun buf -> Shard_state.put_delta buf d);
-      loop ()
+exception Desync
+
+(* The version counts the diffs absorbed, so a lost or repeated frame
+   is caught instead of silently diverging the base. *)
+let absorb v payload =
+  let epoch, version, d =
+    Shard_state.epoch_of_string (Healer_kernel.Kernel.target ()) payload
   in
-  try loop () with
-  | End_of_file -> Unix._exit 0 (* coordinator went away *)
-  | _ -> Unix._exit 3
+  if version <> v.version then raise Desync;
+  let base =
+    if Shard_state.is_empty d then v.base else Shard_state.merge v.base d
+  in
+  (epoch, { base; version = version + 1 })
+
+let reply v (d : Shard_state.delta) =
+  { d with outcome = Shard_state.diff ~since:v.base d.outcome }

@@ -1,4 +1,4 @@
-(** One shard of a sharded campaign.
+(** One shard of a sharded campaign, as pure functions.
 
     A worker is {e restartable per slice}: each epoch it builds a
     fresh {!Healer_core.Fuzzer} from (config, shard, epoch, base
@@ -10,7 +10,11 @@
     function of what the coordinator sent, which is what makes
     checkpoint/resume and death/respawn exact: a respawned worker
     (re-seeded with a full diff against the empty state) re-running an
-    epoch produces byte-identical output. *)
+    epoch produces byte-identical output.
+
+    A worker handles an [Epoch] payload with {!absorb}, {!run_epoch}
+    on the grown base, then {!reply}: the forked child loop and the
+    test suite's in-memory transport both run these three steps. *)
 
 val seed_for : Checkpoint.config -> shard:int -> epoch:int -> int
 (** Deterministic per-(shard, epoch) RNG seed. *)
@@ -20,15 +24,23 @@ val run_epoch :
   Shard_state.delta
 (** Pure with respect to its arguments: seeds a fresh fuzzer with the
     base view's relations and corpus, runs one slice, harvests the
-    {e full} outcome (callers diff it against the base when shipping
-    it over a wire). *)
+    {e full} outcome ({!reply} diffs it against the base for the
+    wire). *)
 
-val serve : Checkpoint.config -> shard:int -> input:Unix.file_descr ->
-  output:Unix.file_descr -> 'a
-(** Child-process loop: receive versioned incremental [Epoch] frames
-    (epoch index, base-version check, state diff), fold them into the
-    base view, answer with incremental [Delta] frames, exit on [Quit],
-    peer EOF, or a version desync. Honors the HEALER_SHARD_SKEW_MS
-    straggler knob (bench/tests only — sleeps, never changes
-    results). Never returns — terminates the process via [Unix._exit]
-    (skipping [at_exit], which belongs to the parent). *)
+type view = { base : Shard_state.t; version : int (** Payloads absorbed. *) }
+
+val fresh : unit -> view
+(** A new worker's view: the empty state at version 0. *)
+
+exception Desync
+(** A payload's version is not the view's: a frame was lost or
+    repeated, and the worker must die rather than diverge. *)
+
+val absorb : view -> string -> int * view
+(** Decode an [Epoch] payload and merge its diff into the view: the
+    epoch to run and the grown view. Raises {!Desync}, or
+    {!Healer_util.Codec.Malformed} on a corrupt payload. *)
+
+val reply : view -> Shard_state.delta -> Shard_state.delta
+(** The outcome diffed against the view's base: O(what this slice
+    discovered) bytes, not O(total state). *)

@@ -39,6 +39,7 @@ let () =
          Unix.fork once any other domain has been spawned, so it must
          run before the domain-spawning "parallel" suite. *)
       ("service", Test_service.suite);
+      ("schedule", Test_schedule.suite);
       ("parallel", Test_parallel.suite);
       ("properties", Test_properties.suite);
       ("lockdep", Test_lockdep.suite);

@@ -516,6 +516,11 @@ let test_checkpoint_rows () =
   (* Unknown future format versions are rejected, not misparsed. *)
   reject ~offset:6 (String.mapi (fun k c -> if k = 6 then '\255' else c) s);
   reject ~offset:(String.length s) (s ^ "x");
+  (* More shards than the forked coordinator can select over. *)
+  reject ~offset:19
+    (S.Checkpoint.to_string
+       (S.Coordinator.initial
+          { golden_cfg with jobs = S.Checkpoint.max_jobs + 1 }));
   (* The old exception name still matches. *)
   match S.Checkpoint.of_string (tgt ()) "" with
   | _ -> Alcotest.fail "accepted an empty checkpoint"
