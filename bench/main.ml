@@ -1050,9 +1050,12 @@ let wire_micro () =
 
 (* ---- generation hot path (cheap enough for every build) ---- *)
 
-(* (programs, then per program: minor words, words allocated directly
-   on the major heap, buffer bytes and ns). *)
-let gen_stats : (int * float * float * float * float) option ref = ref None
+(* Per program: minor words, words allocated directly on the major
+   heap (major - promoted), buffer bytes and ns. *)
+type gen_row = { minor : float; direct : float; bytes : float; ns : float }
+
+(* (programs, uniform select, guided select). *)
+let gen_stats : (int * gen_row * gen_row) option ref = ref None
 
 let gen_programs = 500
 
@@ -1063,64 +1066,102 @@ let rec buffer_bytes (v : Healer_executor.Value.t) =
   | Group vs -> List.fold_left (fun acc v -> acc + buffer_bytes v) 0 vs
   | Int _ | Res_ref _ | Res_special _ | Str _ | Null | Vma _ -> 0
 
-(* Gen.generate from a fixed seed with a uniform select. Minor words,
-   words allocated directly on the major heap (major - promoted) and
-   buffer bytes per program are deterministic counts; each words row
-   fails the section when it rises more than 10% or 8 words over the
-   committed one, whichever is larger. Generated buffers are seeded
-   ranges, so the direct-major row reads 0: any large allocation back
-   on the generation path fails it. ns per program is the
-   min-of-batches wall clock, recorded but not gated. Validation is
-   off throughout, so the counts are the production path's whatever
-   HEALER_DEBUG_VALIDATE says. *)
+(* Gen.generate from a fixed seed, twice: with a uniform select, and
+   with Select.select on the static table at alpha 0.5, the value a
+   fresh campaign starts from. Minor words, words allocated directly on
+   the major heap and buffer bytes per program are deterministic
+   counts; each words row fails the section when it rises more than 10%
+   or 8 words over the committed one, whichever is larger. Generated
+   buffers are seeded ranges, so the direct-major rows read 0: any
+   large allocation back on the generation path fails them. ns per
+   program is the min-of-batches wall clock, recorded but not gated.
+   Validation is off throughout, so the counts are the production
+   path's whatever HEALER_DEBUG_VALIDATE says. *)
 let gen_smoke () =
   section "Program generation (Gen.generate)";
   let target = K.Kernel.target () in
-  let batch () =
-    let rng = Healer_util.Rng.create 1 in
-    List.init gen_programs (fun _ ->
-        Gen.generate rng target
-          ~select:(fun ~sub:_ -> Healer_util.Rng.int rng (Target.n_syscalls target))
-          ())
+  let table = Static_learning.initial_table target in
+  let uniform rng ~sub:_ = Healer_util.Rng.int rng (Target.n_syscalls target) in
+  let guided rng ~sub = (Select.select rng table ~alpha:0.5 ~sub).Select.id in
+  let measure select =
+    let batch () =
+      let rng = Healer_util.Rng.create 1 in
+      List.init gen_programs (fun _ -> Gen.generate rng target ~select:(select rng) ())
+    in
+    ignore (batch ());
+    let m0 = Gc.minor_words () and d0 = direct_major () in
+    let progs = batch () in
+    let per_program x = x /. float_of_int gen_programs in
+    let minor = per_program (Gc.minor_words () -. m0) in
+    let direct = per_program (direct_major () -. d0) in
+    let bytes =
+      List.fold_left
+        (fun acc p ->
+          Array.fold_left
+            (fun acc (c : Healer_executor.Prog.call) ->
+              List.fold_left (fun acc v -> acc + buffer_bytes v) acc
+                c.Healer_executor.Prog.args)
+            acc p.Healer_executor.Prog.calls)
+        0 progs
+    in
+    let ns = ref infinity in
+    for _ = 1 to 5 do
+      let t0 = Unix.gettimeofday () in
+      ignore (batch ());
+      let dt = Unix.gettimeofday () -. t0 in
+      ns := Float.min !ns (dt *. 1e9 /. float_of_int gen_programs)
+    done;
+    { minor; direct; bytes = per_program (float_of_int bytes); ns = !ns }
   in
   let debug = Healer_executor.Progcheck.debug_enabled () in
   Healer_executor.Progcheck.set_debug false;
   Fun.protect
     ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
     (fun () ->
-      ignore (batch ());
-      let m0 = Gc.minor_words () and d0 = direct_major () in
-      let progs = batch () in
-      let per_program x = x /. float_of_int gen_programs in
-      let minor = per_program (Gc.minor_words () -. m0) in
-      let direct = per_program (direct_major () -. d0) in
-      let bytes =
-        List.fold_left
-          (fun acc p ->
-            Array.fold_left
-              (fun acc (c : Healer_executor.Prog.call) ->
-                List.fold_left (fun acc v -> acc + buffer_bytes v) acc
-                  c.Healer_executor.Prog.args)
-              acc p.Healer_executor.Prog.calls)
-          0 progs
-      in
-      let bytes = float_of_int bytes /. float_of_int gen_programs in
-      let ns = ref infinity in
-      for _ = 1 to 5 do
-        let t0 = Unix.gettimeofday () in
-        ignore (batch ());
-        let dt = Unix.gettimeofday () -. t0 in
-        ns := Float.min !ns (dt *. 1e9 /. float_of_int gen_programs)
-      done;
-      Fmt.pr "  %-30s %12.0f@." "minor words / program" minor;
-      Fmt.pr "  %-30s %12.0f@." "direct-major words / program" direct;
-      Fmt.pr "  %-30s %12.0f@." "buffer bytes / program" bytes;
-      Fmt.pr "  %-30s %12.0f@." "ns / program" !ns;
-      gen_stats := Some (gen_programs, minor, direct, bytes, !ns);
-      gate_words ~floor:8.0 ~what:"gen minor words" minor
-        [ "gen"; "minor_words_per_program" ];
-      gate_words ~floor:8.0 ~what:"gen direct-major words" direct
-        [ "gen"; "direct_major_words_per_program" ])
+      let u = measure uniform and g = measure guided in
+      List.iter
+        (fun (what, r) ->
+          Fmt.pr "  %-30s %12.0f@." (what ^ "minor words / program") r.minor;
+          Fmt.pr "  %-30s %12.0f@." (what ^ "direct-major / program") r.direct;
+          Fmt.pr "  %-30s %12.0f@." (what ^ "buffer bytes / program") r.bytes;
+          Fmt.pr "  %-30s %12.0f@." (what ^ "ns / program") r.ns)
+        [ ("", u); ("guided ", g) ];
+      gen_stats := Some (gen_programs, u, g);
+      List.iter
+        (fun (what, w, key) -> gate_words ~floor:8.0 ~what w [ "gen"; key ])
+        [
+          ("gen minor words", u.minor, "minor_words_per_program");
+          ("gen direct-major words", u.direct, "direct_major_words_per_program");
+          ("guided minor words", g.minor, "guided_minor_words_per_program");
+          ("guided direct-major words", g.direct, "guided_direct_major_words_per_program");
+        ])
+
+(* (minor words, direct-major words) of one Target.of_string. *)
+let target_words : (float * float) option ref = ref None
+
+(* Compiling the seed descriptions (Target.of_string on
+   Kernel.source): exact minor and direct-major words, each gated at
+   +10% over the committed row, and the best-of-batches time. *)
+let target_smoke () =
+  section "Target compile (Target.of_string)";
+  let src = K.Kernel.source () in
+  let compile () = ignore (Sys.opaque_identity (Target.of_string ~name:"healer-sim" src)) in
+  compile ();
+  let m0 = Gc.minor_words () and d0 = direct_major () in
+  compile ();
+  let minor = Gc.minor_words () -. m0 and direct = direct_major () -. d0 in
+  let best = ref infinity in
+  for _ = 1 to 20 do
+    let t0 = Unix.gettimeofday () in
+    compile ();
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  Fmt.pr "  %-30s %12.0f@." "minor words" minor;
+  Fmt.pr "  %-30s %12.0f@." "direct-major words" direct;
+  Fmt.pr "  %-30s %12.0f@." "us / compile" (!best *. 1e6);
+  target_words := Some (minor, direct);
+  gate_words ~what:"target minor words" minor [ "target"; "minor_words" ];
+  gate_words ~what:"target direct-major words" direct [ "target"; "direct_major_words" ]
 
 (* ---- main ---- *)
 
@@ -1131,7 +1172,7 @@ let sections =
     ("ablation", ablation); ("micro", micro); ("cache", cache_smoke);
     ("hooks", hooks_smoke); ("exec", exec_smoke);
     ("shard", shard_smoke);
-    ("wire", wire_micro); ("gen", gen_smoke);
+    ("wire", wire_micro); ("gen", gen_smoke); ("target", target_smoke);
   ]
 
 (* ---- machine-readable results (--json) ---- *)
@@ -1204,13 +1245,20 @@ let write_json ~jobs ~section_times () =
       wire_ns wire_bytes
   | None -> field "\"shard_comms\": null");
   (match !gen_stats with
-  | Some (programs, minor, direct, bytes, ns) ->
+  | Some (programs, u, g) ->
     field
       "\"gen\": {\"seed\": 1, \"programs\": %d, \"minor_words_per_program\": %.1f, \
        \"direct_major_words_per_program\": %.1f, \
-       \"buffer_bytes_per_program\": %.1f, \"ns_per_program\": %.1f}"
-      programs minor direct bytes ns
+       \"buffer_bytes_per_program\": %.1f, \"ns_per_program\": %.1f, \
+       \"guided_alpha\": 0.5, \"guided_minor_words_per_program\": %.1f, \
+       \"guided_direct_major_words_per_program\": %.1f, \
+       \"guided_buffer_bytes_per_program\": %.1f, \"guided_ns_per_program\": %.1f}"
+      programs u.minor u.direct u.bytes u.ns g.minor g.direct g.bytes g.ns
   | None -> field "\"gen\": null");
+  (match !target_words with
+  | Some (minor, direct) ->
+    field "\"target\": {\"minor_words\": %.0f, \"direct_major_words\": %.0f}" minor direct
+  | None -> field "\"target\": null");
   (match !exec_words with
   | Some (programs, boot, run) ->
     field "\"exec_words\": {\"programs\": %d, \"boot\": %.1f, \"run\": %.1f}"

@@ -60,30 +60,41 @@ let hours_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* Exit with status 1. When stdout can no longer be written (its
+   reader closed the pipe), drop what is still buffered for it: the
+   flush at exit would otherwise raise a second time, and Cmdliner
+   would report that as an internal error. *)
+let exit_error () =
+  (try
+     Format.pp_print_flush Format.std_formatter ();
+     flush stdout
+   with Sys_error _ -> close_out_noerr stdout);
+  exit 1
+
 (* Turn the library's typed failures into one-line CLI errors. *)
 let or_die f =
   try f () with
   | Healer_util.Codec.Malformed { format; offset; reason } ->
     Fmt.epr "error: corrupt %s at byte %d (%s)@." format offset reason;
-    exit 1
+    exit_error ()
   | Failure msg ->
     Fmt.epr "error: %s@." msg;
-    exit 1
+    exit_error ()
   | Invalid_argument msg ->
     Fmt.epr "error: %s@." msg;
-    exit 1
+    exit_error ()
   | Healer_syzlang.Parser.Error { line; msg } ->
     Fmt.epr "error: parse failure at line %d: %s@." line msg;
-    exit 1
+    exit_error ()
   | Healer_syzlang.Lexer.Error { line; msg } ->
     Fmt.epr "error: lex failure at line %d: %s@." line msg;
-    exit 1
+    exit_error ()
   | Healer_syzlang.Target.Compile_error msg ->
     Fmt.epr "error: %s@." msg;
-    exit 1
+    exit_error ()
   | Sys_error msg ->
     Fmt.epr "error: %s@." msg;
-    exit 1
+    exit_error ()
 
 let run_fuzz tool version hours seed load_rel save_rel load_corp save_corp =
   let cfg = Fuzzer.config ~seed ~tool ~version () in

@@ -1,15 +1,19 @@
 (** Program assembly: creating calls with resource arguments wired to
     earlier producers, and inserting the producer chain a call needs
-    when none exists yet in the sequence. *)
+    when none exists yet in the sequence.
+
+    Every lookup reads the target's generation plan: a call's consumed
+    kinds are {!Healer_syzlang.Target.consumed_resources}, a producer
+    scan reads the kind's [mask] once per earlier call, and a missing
+    producer is drawn from the kind's [producers] array. *)
 
 val producers_for :
-  Healer_syzlang.Target.t ->
   Healer_executor.Prog.t ->
   upto:int ->
-  string ->
-  int list
-(** Indices [< upto] of calls whose produced resource kind is
-    compatible with consumer kind. *)
+  Healer_syzlang.Target.resource ->
+  int array
+(** Ascending indices [< upto] of calls producing a kind compatible
+    with the resource (one that is it or inherits from it). *)
 
 val make_call :
   Healer_util.Rng.t ->
@@ -48,11 +52,10 @@ val append_call :
     immutable forms above. *)
 
 val producers_for_b :
-  Healer_syzlang.Target.t ->
   Healer_executor.Prog.Builder.t ->
   upto:int ->
-  string ->
-  int list
+  Healer_syzlang.Target.resource ->
+  int array
 
 val make_call_b :
   Healer_util.Rng.t ->

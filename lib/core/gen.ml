@@ -12,17 +12,16 @@ let syscall_ids_b b ~upto =
       (Prog.Builder.call b k).Prog.syscall.Syscall.id)
 
 let seed_pair_b rng target b =
-  match Target.resource_kinds target with
-  | [] -> ()
-  | kinds -> (
-    let kind = Rng.pick rng kinds in
-    match (Target.producers_of target kind, Target.consumers_of target kind) with
-    | [], _ | _, [] -> ()
-    | producers, consumers ->
-      let producer = Rng.pick rng producers in
-      let consumer = Rng.pick rng consumers in
+  let resources = Target.resources target in
+  if Array.length resources > 0 then begin
+    let r = Rng.pick_arr rng resources in
+    if Array.length r.producers > 0 && Array.length r.consumers > 0 then begin
+      let producer = Rng.pick_arr rng r.producers in
+      let consumer = Rng.pick_arr rng r.consumers in
       Builder.append_call_b rng target b producer;
-      Builder.append_call_b rng target b consumer)
+      Builder.append_call_b rng target b consumer
+    end
+  end
 
 (* The whole generation runs on one builder: the seed pair, its
    producer chains and every refinement insertion cost amortized

@@ -7,12 +7,7 @@ let mutate_args rng target (p : Prog.t) =
   else begin
     let k = Rng.int rng (Prog.length p) in
     let c = Prog.call p k in
-    let ctx =
-      {
-        Value_gen.target;
-        producers = (fun kind -> Builder.producers_for target p ~upto:k kind);
-      }
-    in
+    let ctx = { Value_gen.target; producers = Builder.producers_for p ~upto:k } in
     let args = Value_gen.mutate_args rng ctx c.Prog.syscall c.Prog.args in
     let calls = Array.copy p.Prog.calls in
     calls.(k) <- { c with Prog.args };

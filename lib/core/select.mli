@@ -17,4 +17,13 @@ val select :
   outcome
 (** [sub] is the list of syscall ids preceding the insertion point.
     [used_table] is true only when the candidate map actually decided
-    the choice (feeds {!Alpha.record}). *)
+    the choice (feeds {!Alpha.record}).
+
+    M is counted into a per-domain scratch array indexed by syscall id.
+    The pick walks, and then clears, only the id range \[lo, hi\] that
+    [sub]'s rows touched, in ascending id order, so it consumes the
+    same single draw as a walk over every id. *)
+
+val scratch_is_clear : unit -> bool
+(** The calling domain's scratch counts are all zero, as every
+    {!select} must leave them. For tests. *)

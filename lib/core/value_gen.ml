@@ -1,14 +1,12 @@
 module Value = Healer_executor.Value
 module Rng = Healer_util.Rng
 module Blob = Healer_util.Blob
-module Ty = Healer_syzlang.Ty
-module Field = Healer_syzlang.Field
 module Target = Healer_syzlang.Target
 module Syscall = Healer_syzlang.Syscall
 
 type ctx = {
   target : Target.t;
-  producers : string -> int list;
+  producers : Target.resource -> int array;
 }
 
 let magic_ints =
@@ -33,8 +31,7 @@ let gen_int rng bits range =
     if Rng.chance rng 0.6 then truncate_bits bits (Rng.pick_arr rng magic_ints)
     else truncate_bits bits (Rng.bits64 rng)
 
-let gen_flags rng ctx name =
-  let values = Target.flag_values ctx.target name in
+let gen_flags rng values =
   if Array.length values = 0 then 0L
   else if Rng.chance rng 0.75 then Rng.pick_arr rng values
   else begin
@@ -47,16 +44,15 @@ let gen_flags rng ctx name =
     !acc
   end
 
-let gen_resource rng ctx kind =
-  match ctx.producers kind with
-  | [] ->
-    let specials = Target.resource_special_values ctx.target kind in
-    if Array.length specials > 0 && Rng.chance rng 0.7 then
-      Value.Res_special (Rng.pick_arr rng specials)
+let gen_resource rng ctx (r : Target.resource) =
+  match ctx.producers r with
+  | [||] ->
+    if Array.length r.special > 0 && Rng.chance rng 0.7 then
+      Value.Res_special (Rng.pick_arr rng r.special)
     else if Rng.chance rng 0.5 then Value.Res_special (-1L)
     else Value.Int (Int64.of_int (Rng.int rng 16))
   | idxs ->
-    if Rng.chance rng 0.92 then Value.Res_ref (Rng.pick rng idxs)
+    if Rng.chance rng 0.92 then Value.Res_ref (Rng.pick_arr rng idxs)
     else Value.Res_special (-1L)
 
 (* A seeded range of the stream: the same bytes, and the same
@@ -70,57 +66,63 @@ let long_string rng =
    check (Progcheck): the two must never disagree. *)
 let size_of_value = Value.byte_size
 
-let rec gen_value rng ctx (ty : Ty.t) =
-  match ty with
-  | Ty.Int { bits; range } -> Value.Int (gen_int rng bits range)
-  | Ty.Const v -> Value.Int v
-  | Ty.Flags name -> Value.Int (gen_flags rng ctx name)
-  | Ty.Len _ -> Value.Int 0L (* resolved by the caller's second pass *)
-  | Ty.Proc { start; step } ->
+let rec gen_value rng ctx (node : Target.node) =
+  match node with
+  | Target.Int { bits; range } -> Value.Int (gen_int rng bits range)
+  | Target.Const v -> Value.Int v
+  | Target.Flags values -> Value.Int (gen_flags rng values)
+  | Target.Len _ -> Value.Int 0L (* resolved by the caller's second pass *)
+  | Target.Proc { start; step } ->
     Value.Int (Int64.add start (Int64.mul step (Int64.of_int (Rng.int rng 4))))
-  | Ty.Res { kind; dir = _ } -> gen_resource rng ctx kind
-  | Ty.Ptr { elem; dir = _ } ->
+  | Target.Res r -> gen_resource rng ctx r
+  | Target.Ptr elem ->
     if Rng.chance rng 0.05 then Value.Null else Value.Ptr (gen_value rng ctx elem)
-  | Ty.Buffer _ -> gen_buffer rng
-  | Ty.Str lits ->
-    if lits <> [] && Rng.chance rng 0.9 then Value.Str (Rng.pick rng lits)
+  | Target.Buffer -> gen_buffer rng
+  | Target.Str lits ->
+    if Array.length lits > 0 && Rng.chance rng 0.9 then Value.Str (Rng.pick_arr rng lits)
     else Value.Str (long_string rng)
-  | Ty.Filename lits ->
-    if lits <> [] && Rng.chance rng 0.95 then Value.Str (Rng.pick rng lits)
+  | Target.Filename lits ->
+    if Array.length lits > 0 && Rng.chance rng 0.95 then Value.Str (Rng.pick_arr rng lits)
     else Value.Str "/nonexistent"
-  | Ty.Array { elem; min_len; max_len } ->
-    let n = Rng.int_in rng min_len max_len in
-    Value.Group (List.init n (fun _ -> gen_value rng ctx elem))
-  | Ty.Struct_ref name ->
-    Value.Group (gen_fields rng ctx (Target.struct_fields ctx.target name))
-  | Ty.Union_ref name ->
-    let fields = Target.union_fields ctx.target name in
-    let f = List.nth fields (Rng.int rng (List.length fields)) in
-    Value.Group [ gen_value rng ctx f.Field.fty ]
-  | Ty.Vma -> Value.Vma (Rng.pick_arr rng vma_addrs)
+  | Target.Array { elem; min_len; max_len } ->
+    Value.Group (gen_list rng ctx elem (Rng.int_in rng min_len max_len))
+  | Target.Struct fields -> Value.Group (gen_fields rng ctx fields)
+  | Target.Union fields ->
+    Value.Group [ gen_value rng ctx fields.(Rng.int rng (Array.length fields)) ]
+  | Target.Vma -> Value.Vma (Rng.pick_arr rng vma_addrs)
 
-(* Generate all fields, then resolve Len references against siblings. *)
-and gen_fields rng ctx (fields : Field.t list) =
-  let values = List.map (fun (f : Field.t) -> gen_value rng ctx f.Field.fty) fields in
-  resolve_lens fields values
+(* [n] values of one node, drawn first to last. *)
+and gen_list rng ctx node n =
+  if n <= 0 then []
+  else
+    let v = gen_value rng ctx node in
+    v :: gen_list rng ctx node (n - 1)
 
+(* Generate all fields in order, then resolve Len references against
+   siblings. *)
+and gen_fields rng ctx fields = resolve_lens fields (gen_from rng ctx fields 0)
+
+and gen_from rng ctx fields i =
+  if i = Array.length fields then []
+  else
+    let v = gen_value rng ctx fields.(i) in
+    v :: gen_from rng ctx fields (i + 1)
+
+(* Each direct [Len j] field takes the byte size of sibling [j]'s value
+   before resolution. A group with no such field is returned as is. *)
 and resolve_lens fields values =
-  List.map2
-    (fun (f : Field.t) v ->
-      match f.Field.fty with
-      | Ty.Len name -> (
-        let sibling =
-          List.find_opt
-            (fun ((g : Field.t), _) -> String.equal g.Field.fname name)
-            (List.combine fields values)
-        in
-        match sibling with
-        | Some (_, sv) -> Value.Int (Int64.of_int (size_of_value sv))
-        | None -> v)
-      | _ -> v)
-    fields values
+  if not (Array.exists (function Target.Len j -> j >= 0 | _ -> false) fields) then values
+  else
+    List.mapi
+      (fun i v ->
+        match fields.(i) with
+        | Target.Len j when j >= 0 ->
+          Value.Int (Int64.of_int (size_of_value (List.nth values j)))
+        | _ -> v)
+      values
 
-let gen_args rng ctx (call : Syscall.t) = gen_fields rng ctx call.Syscall.args
+let gen_args rng ctx (call : Syscall.t) =
+  gen_fields rng ctx (Target.arg_nodes ctx.target call)
 
 (* ---- mutation ---- *)
 
@@ -150,10 +152,16 @@ let mutate_buf rng b =
       Blob.of_bytes b
     end
 
-let rec mutate_value rng ctx (ty : Ty.t) v =
-  match (ty, v) with
-  | Ty.Const _, _ -> v (* constants stay fixed; the kernel checks them *)
-  | Ty.Int { bits; range }, Value.Int x -> (
+(* [l] with element [k] replaced by [f] of it; the tail after [k] is
+   shared. *)
+let rec replace_nth k f = function
+  | [] -> []
+  | v :: rest -> if k = 0 then f v :: rest else v :: replace_nth (k - 1) f rest
+
+let rec mutate_value rng ctx (node : Target.node) v =
+  match (node, v) with
+  | Target.Const _, _ -> v (* constants stay fixed; the kernel checks them *)
+  | Target.Int { bits; range }, Value.Int x -> (
     match range with
     | None -> Value.Int (truncate_bits bits (mutate_int rng x))
     | Some _ ->
@@ -161,61 +169,48 @@ let rec mutate_value rng ctx (ty : Ty.t) v =
          before reaching interesting code otherwise, and the validator
          (prog-int-width) treats escapes as generator bugs. *)
       Value.Int (gen_int rng bits range))
-  | Ty.Flags name, Value.Int _ -> Value.Int (gen_flags rng ctx name)
-  | Ty.Len _, (Value.Int x : Value.t) ->
+  | Target.Flags values, Value.Int _ -> Value.Int (gen_flags rng values)
+  | Target.Len _, (Value.Int x : Value.t) ->
     if Rng.chance rng 0.3 then Value.Int (mutate_int rng x) else v
-  | Ty.Res { kind; _ }, _ -> gen_resource rng ctx kind
-  | Ty.Ptr { elem; _ }, Value.Ptr inner ->
+  | Target.Res r, _ -> gen_resource rng ctx r
+  | Target.Ptr elem, Value.Ptr inner ->
     if Rng.chance rng 0.08 then Value.Null
     else Value.Ptr (mutate_value rng ctx elem inner)
-  | Ty.Ptr { elem; _ }, Value.Null ->
-    Value.Ptr (gen_value rng ctx elem)
-  | Ty.Buffer _, Value.Buf b -> Value.Buf (mutate_buf rng b)
-  | Ty.Str _, _ | Ty.Filename _, _ -> gen_value rng ctx ty
-  | Ty.Array { elem; min_len; max_len }, Value.Group vs ->
+  | Target.Ptr elem, Value.Null -> Value.Ptr (gen_value rng ctx elem)
+  | Target.Buffer, Value.Buf b -> Value.Buf (mutate_buf rng b)
+  | (Target.Str _ | Target.Filename _), _ -> gen_value rng ctx node
+  | Target.Array { elem; min_len; max_len }, Value.Group vs ->
+    let n = List.length vs in
     let vs =
-      if Rng.chance rng 0.3 && List.length vs < max_len then
-        gen_value rng ctx elem :: vs
-      else if Rng.chance rng 0.3 && List.length vs > min_len then List.tl vs
+      if Rng.chance rng 0.3 && n < max_len then gen_value rng ctx elem :: vs
+      else if Rng.chance rng 0.3 && n > min_len then List.tl vs
       else
         List.map
           (fun v -> if Rng.chance rng 0.4 then mutate_value rng ctx elem v else v)
           vs
     in
     Value.Group vs
-  | Ty.Struct_ref name, Value.Group vs ->
-    let fields = Target.struct_fields ctx.target name in
-    if List.length fields = List.length vs then begin
-      let k = Rng.int rng (List.length fields) in
-      let vs =
-        List.mapi
-          (fun i v ->
-            if i = k then
-              mutate_value rng ctx (List.nth fields i).Field.fty v
-            else v)
-          vs
-      in
+  | Target.Struct fields, Value.Group vs ->
+    if Array.length fields = List.length vs then begin
+      let k = Rng.int rng (Array.length fields) in
+      let vs = replace_nth k (mutate_value rng ctx fields.(k)) vs in
       Value.Group (resolve_lens fields vs)
     end
-    else gen_value rng ctx ty
-  | Ty.Union_ref _, _ -> gen_value rng ctx ty
-  | Ty.Vma, _ -> Value.Vma (Rng.pick_arr rng vma_addrs)
-  | Ty.Proc _, _ -> gen_value rng ctx ty
-  | _, _ -> gen_value rng ctx ty
+    else gen_value rng ctx node
+  | Target.Vma, _ -> Value.Vma (Rng.pick_arr rng vma_addrs)
+  (* Unions, procs and values of another shape are drawn afresh. *)
+  | _, _ -> gen_value rng ctx node
+
+(* Argument [k], and each other one with probability 0.1, mutated
+   first to last, as the draws must be. *)
+let rec mutate_from rng ctx fields k i = function
+  | [] -> []
+  | v :: rest ->
+    let v = if i = k || Rng.chance rng 0.1 then mutate_value rng ctx fields.(i) v else v in
+    v :: mutate_from rng ctx fields k (i + 1) rest
 
 let mutate_args rng ctx (call : Syscall.t) args =
-  let fields = call.Syscall.args in
-  if fields = [] || List.length args <> List.length fields then
-    gen_args rng ctx call
-  else begin
-    let k = Rng.int rng (List.length args) in
-    let args =
-      List.mapi
-        (fun i v ->
-          if i = k || Rng.chance rng 0.1 then
-            mutate_value rng ctx (List.nth fields i).Field.fty v
-          else v)
-        args
-    in
-    resolve_lens fields args
-  end
+  let fields = Target.arg_nodes ctx.target call in
+  let n = Array.length fields in
+  if n = 0 || List.length args <> n then gen_args rng ctx call
+  else resolve_lens fields (mutate_from rng ctx fields (Rng.int rng n) 0 args)

@@ -20,8 +20,8 @@ let append p c =
   { calls }
 
 let map_call_refs f c =
-  let args' = List.map (Value.map_refs f) c.args in
-  if List.for_all2 ( == ) args' c.args then c else { c with args = args' }
+  let args' = Value.map_shared (Value.map_refs f) c.args in
+  if args' == c.args then c else { c with args = args' }
 
 (* remove/insert build the edited call array in one allocation;
    [map_call_refs] keeps untouched calls physically shared with the

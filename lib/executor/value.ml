@@ -32,6 +32,18 @@ let rec refs_below k = function
   | Ptr v -> refs_below k v
   | Int _ | Res_special _ | Str _ | Buf _ | Null | Vma _ -> true
 
+(* [map_shared g l] is [List.map g l], except that it returns [l]
+   itself when [g] returns every element unchanged ([==]) and keeps the
+   unchanged tail after the last changed element: it allocates only
+   cells in front of a change. *)
+let rec map_shared g l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+    let x' = g x in
+    let rest' = map_shared g rest in
+    if x' == x && rest' == rest then l else x' :: rest'
+
 (* Untouched subtrees keep their physical identity, so rewrites that
    change nothing (e.g. removing a later call) return [v] itself —
    downstream consumers can then memoize per-value work by [==]. *)
@@ -39,8 +51,8 @@ let rec map_refs f v =
   match v with
   | Res_ref i -> ( match f i with Some v' -> v' | None -> v)
   | Group vs ->
-    let vs' = List.map (map_refs f) vs in
-    if List.for_all2 ( == ) vs' vs then v else Group vs'
+    let vs' = map_shared (map_refs f) vs in
+    if vs' == vs then v else Group vs'
   | Ptr inner ->
     let inner' = map_refs f inner in
     if inner' == inner then v else Ptr inner'

@@ -30,7 +30,14 @@ val refs_below : int -> t -> bool
 
 val map_refs : (int -> t option) -> t -> t
 (** [map_refs f v] replaces each [Res_ref i] by [f i] when it returns
-    [Some], recursively. Used to fix up references when calls move. *)
+    [Some], recursively. Used to fix up references when calls move.
+    Allocates only along a changed reference: an unchanged value is
+    returned as is ([==]), and a group keeps its unchanged tail. *)
+
+val map_shared : ('a -> 'a) -> 'a list -> 'a list
+(** [map_shared g l] equals [List.map g l], but returns [l] itself when
+    [g] returns every element unchanged ([==]), and otherwise shares
+    the tail after the last changed element. *)
 
 val equal : t -> t -> bool
 (** Structural equality, with buffers compared by content

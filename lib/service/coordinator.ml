@@ -100,9 +100,6 @@ let spawn cfg handles ~shard =
 
 let run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode (ck0 : Checkpoint.t)
     ~until =
-  (* A dead worker's pipe must raise EPIPE, not kill the coordinator. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   (* Initialize every lazy kernel registry before forking: children
      must never race to build shared tables they'd then diverge on. *)
   Kernel.force_init ();
@@ -261,5 +258,16 @@ let run ?(forked = true) ?(mode = Async) ?checkpoint_dir ?stop_after ?on_epoch
     | Some n -> min n ck.config.epochs
     | None -> ck.config.epochs
   in
-  if forked then run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ck ~until
+  if forked then begin
+    (* A dead worker's pipe must raise EPIPE, not kill the coordinator.
+       The caller's disposition comes back when the run ends, however
+       it ends, so the caller's own writes to a closed pipe behave as
+       they did before the run. *)
+    let previous =
+      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+    in
+    Fun.protect
+      ~finally:(fun () -> Option.iter (Sys.set_signal Sys.sigpipe) previous)
+      (fun () -> run_forked ?checkpoint_dir ?on_epoch ?chaos ~mode ck ~until)
+  end
   else run_sequential ?checkpoint_dir ?on_epoch ck ~until

@@ -1,5 +1,30 @@
 type resource_info = { parent : string option; special : int64 array }
 
+type resource = {
+  kind : string;
+  parent : string option;
+  special : int64 array;
+  mask : bool array;
+  producers : Syscall.t array;
+  consumers : Syscall.t array;
+}
+
+type node =
+  | Int of { bits : int; range : (int64 * int64) option }
+  | Const of int64
+  | Flags of int64 array
+  | Len of int
+  | Proc of { start : int64; step : int64 }
+  | Res of resource
+  | Ptr of node
+  | Buffer
+  | Str of string array
+  | Filename of string array
+  | Array of { elem : node; min_len : int; max_len : int }
+  | Struct of node array
+  | Union of node array
+  | Vma
+
 type t = {
   tname : string;
   calls : Syscall.t array;
@@ -7,17 +32,19 @@ type t = {
   flagsets : (string, int64 array) Hashtbl.t;
   structs : (string, Field.t list) Hashtbl.t;
   unions : (string, Field.t list) Hashtbl.t;
-  resources : (string, resource_info) Hashtbl.t;
+  (* One record per resource kind, by name and (sorted by name) as an
+     array. *)
+  resources : (string, resource) Hashtbl.t;
+  sorted_resources : resource array;
   (* Struct-expanded produce/consume sets, per syscall id. *)
   produced : string list array;
   consumed : string list array;
   (* Declared resource kinds, sorted once at compile time. *)
   kinds : string list;
-  (* Per consumer kind, [mask.(id)] holds when syscall [id] produces a
-     compatible kind: the predicate [producers] is filtered by. *)
-  producer_masks : (string, bool array) Hashtbl.t;
-  producers : (string, Syscall.t list) Hashtbl.t;
-  consumers : (string, Syscall.t list) Hashtbl.t;
+  (* The generation plan, per syscall id: argument nodes, and the
+     records of the consumed kinds in [consumed]'s order. *)
+  arg_nodes : node array array;
+  consumed_records : resource array array;
   (* Source line of each declaration, keyed by "kind:name" (kinds:
      call, struct, union, flags, resource). Empty when the target was
      compiled from bare declarations without positions. *)
@@ -69,21 +96,22 @@ let rec resolve_ty ~where resources structs unions (ty : Ty.t) : Ty.t =
   | Ty.Str _ | Ty.Filename _ | Ty.Struct_ref _ | Ty.Union_ref _ | Ty.Vma ->
     ty
 
-let rec validate_ty ~where t (ty : Ty.t) =
+let rec validate_ty ~where ~flagsets ~structs ~unions ~resources (ty : Ty.t) =
+  let validate = validate_ty ~where ~flagsets ~structs ~unions ~resources in
   match ty with
   | Ty.Flags name ->
-    if not (Hashtbl.mem t.flagsets name) then
+    if not (Hashtbl.mem flagsets name) then
       error "%s: unknown flag set %s" where name
   | Ty.Int { bits; _ } ->
     if not (Ty.int_bits_valid bits) then error "%s: invalid int width %d" where bits
-  | Ty.Ptr { elem; _ } -> validate_ty ~where t elem
-  | Ty.Array { elem; _ } -> validate_ty ~where t elem
+  | Ty.Ptr { elem; _ } -> validate elem
+  | Ty.Array { elem; _ } -> validate elem
   | Ty.Struct_ref name ->
-    if not (Hashtbl.mem t.structs name) then error "%s: unknown struct %s" where name
+    if not (Hashtbl.mem structs name) then error "%s: unknown struct %s" where name
   | Ty.Union_ref name ->
-    if not (Hashtbl.mem t.unions name) then error "%s: unknown union %s" where name
+    if not (Hashtbl.mem unions name) then error "%s: unknown union %s" where name
   | Ty.Res { kind; _ } ->
-    if not (Hashtbl.mem t.resources kind) then
+    if not (Hashtbl.mem resources kind) then
       error "%s: unknown resource %s" where kind
   | Ty.Const _ | Ty.Len _ | Ty.Proc _ | Ty.Buffer _ | Ty.Str _ | Ty.Filename _
   | Ty.Vma ->
@@ -100,7 +128,7 @@ let validate_len_refs ~where (args : Field.t list) =
   in
   List.iter check args
 
-let check_resource_cycles resources =
+let check_resource_cycles (resources : (string, resource_info) Hashtbl.t) =
   let rec walk seen kind =
     if List.mem kind seen then
       error "resource inheritance cycle through %s" kind;
@@ -115,7 +143,7 @@ let check_resource_cycles resources =
    members, keeping only the directions selected by [keep]. A pointer's
    direction overrides the pointee's. [fuel] bounds recursion through
    (potentially cyclic) struct references. *)
-let collect_res_deep t ~keep ty =
+let collect_res_deep ~structs ~unions ~keep ty =
   let rec go fuel ptr_dir acc (ty : Ty.t) =
     if fuel = 0 then acc
     else
@@ -126,12 +154,12 @@ let collect_res_deep t ~keep ty =
       | Ty.Ptr { dir; elem } -> go (fuel - 1) (Some dir) acc elem
       | Ty.Array { elem; _ } -> go (fuel - 1) ptr_dir acc elem
       | Ty.Struct_ref name ->
-        let fields = try Hashtbl.find t.structs name with Not_found -> [] in
+        let fields = try Hashtbl.find structs name with Not_found -> [] in
         List.fold_left
           (fun acc (f : Field.t) -> go (fuel - 1) ptr_dir acc f.fty)
           acc fields
       | Ty.Union_ref name ->
-        let fields = try Hashtbl.find t.unions name with Not_found -> [] in
+        let fields = try Hashtbl.find unions name with Not_found -> [] in
         List.fold_left
           (fun acc (f : Field.t) -> go (fuel - 1) ptr_dir acc f.fty)
           acc fields
@@ -141,18 +169,22 @@ let collect_res_deep t ~keep ty =
   in
   go 8 None [] ty
 
-let compute_produced t (c : Syscall.t) =
+let compute_produced ~structs ~unions (c : Syscall.t) =
   let keep = function Ty.Out | Ty.In_out -> true | Ty.In -> false in
   let from_args =
-    List.concat_map (fun (f : Field.t) -> collect_res_deep t ~keep f.fty) c.args
+    List.concat_map
+      (fun (f : Field.t) -> collect_res_deep ~structs ~unions ~keep f.fty)
+      c.args
   in
   let all = match c.ret with Some r -> r :: from_args | None -> from_args in
   List.sort_uniq String.compare all
 
-let compute_consumed t (c : Syscall.t) =
+let compute_consumed ~structs ~unions (c : Syscall.t) =
   let keep = function Ty.In | Ty.In_out -> true | Ty.Out -> false in
   List.sort_uniq String.compare
-    (List.concat_map (fun (f : Field.t) -> collect_res_deep t ~keep f.fty) c.args)
+    (List.concat_map
+       (fun (f : Field.t) -> collect_res_deep ~structs ~unions ~keep f.fty)
+       c.args)
 
 let is_subtype t ~sub ~sup =
   let rec walk kind =
@@ -168,6 +200,115 @@ let compatible t ~consumer ~producer = is_subtype t ~sub:producer ~sup:consumer
 
 let sorted_keys tbl =
   List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
+
+(* One record per resource kind. Kind [k]'s producers are the calls
+   producing [k] or a kind inheriting from it: each produced kind's
+   (acyclic, checked) parent chain is walked up once per call. Its
+   consumers are the calls consuming [k] or an ancestor of it: each
+   consumed kind's descendants are walked down once per call. Calls are
+   visited in descending id order, so consing leaves every list in
+   ascending id order; [last] drops a second visit from the same call. *)
+let build_records ~resources ~calls ~produced ~consumed =
+  let kinds = Array.of_list (sorted_keys resources) in
+  let nk = Array.length kinds and n = Array.length calls in
+  let index = Hashtbl.create nk in
+  Array.iteri (fun i k -> Hashtbl.add index k i) kinds;
+  let parent =
+    Array.map
+      (fun k ->
+        Option.map (Hashtbl.find index) (Hashtbl.find resources k : resource_info).parent)
+      kinds
+  in
+  let children = Array.make nk [] in
+  Array.iteri (fun i p -> Option.iter (fun p -> children.(p) <- i :: children.(p)) p) parent;
+  let masks = Array.init nk (fun _ -> Array.make n false) in
+  let prods = Array.make nk [] and cons = Array.make nk [] in
+  let last_prod = Array.make nk (-1) and last_cons = Array.make nk (-1) in
+  for id = n - 1 downto 0 do
+    let c = calls.(id) in
+    let rec up k =
+      if last_prod.(k) <> id then begin
+        last_prod.(k) <- id;
+        masks.(k).(id) <- true;
+        prods.(k) <- c :: prods.(k)
+      end;
+      Option.iter up parent.(k)
+    in
+    let rec down k =
+      if last_cons.(k) <> id then begin
+        last_cons.(k) <- id;
+        cons.(k) <- c :: cons.(k)
+      end;
+      List.iter down children.(k)
+    in
+    List.iter (fun k -> up (Hashtbl.find index k)) produced.(id);
+    List.iter (fun k -> down (Hashtbl.find index k)) consumed.(id)
+  done;
+  let records = Hashtbl.create nk in
+  Array.iteri
+    (fun i kind ->
+      let ({ parent; special } : resource_info) = Hashtbl.find resources kind in
+      Hashtbl.add records kind
+        {
+          kind;
+          parent;
+          special;
+          mask = masks.(i);
+          producers = Array.of_list prods.(i);
+          consumers = Array.of_list cons.(i);
+        })
+    kinds;
+  records
+
+(* Argument nodes per syscall id. Every struct and union gets one node
+   array, shared by every reference to it, so a layout that reaches
+   itself through a pointer is a cycle rather than an unbounded tree.
+   A [len] field holds the index of the first sibling it names, or -1;
+   a [len] nested below a field is never resolved and holds -1. *)
+let build_plan ~flagsets ~structs ~unions ~records calls =
+  let shells tbl =
+    let shells = Hashtbl.create (Hashtbl.length tbl) in
+    Hashtbl.iter
+      (fun name fields -> Hashtbl.add shells name (Array.make (List.length fields) Vma))
+      tbl;
+    shells
+  in
+  let struct_nodes = shells structs and union_nodes = shells unions in
+  let rec node (ty : Ty.t) =
+    match ty with
+    | Ty.Int { bits; range } -> Int { bits; range }
+    | Ty.Const v -> Const v
+    | Ty.Flags name -> Flags (Hashtbl.find flagsets name)
+    | Ty.Len _ -> Len (-1)
+    | Ty.Proc { start; step } -> Proc { start; step }
+    | Ty.Res { kind; _ } -> Res (Hashtbl.find records kind)
+    | Ty.Ptr { elem; _ } -> Ptr (node elem)
+    | Ty.Buffer _ -> Buffer
+    | Ty.Str lits -> Str (Array.of_list lits)
+    | Ty.Filename lits -> Filename (Array.of_list lits)
+    | Ty.Array { elem; min_len; max_len } -> Array { elem = node elem; min_len; max_len }
+    | Ty.Struct_ref name -> Struct (Hashtbl.find struct_nodes name)
+    | Ty.Union_ref name -> Union (Hashtbl.find union_nodes name)
+    | Ty.Vma -> Vma
+  in
+  let fill nodes (fields : Field.t list) =
+    let rec sibling name j = function
+      | [] -> -1
+      | (g : Field.t) :: rest ->
+        if String.equal g.fname name then j else sibling name (j + 1) rest
+    in
+    List.iteri
+      (fun i (f : Field.t) ->
+        nodes.(i) <-
+          (match f.fty with Ty.Len name -> Len (sibling name 0 fields) | ty -> node ty))
+      fields;
+    nodes
+  in
+  Hashtbl.iter (fun name fields -> ignore (fill (Hashtbl.find struct_nodes name) fields)) structs;
+  Hashtbl.iter (fun name fields -> ignore (fill (Hashtbl.find union_nodes name) fields)) unions;
+  Array.map
+    (fun (c : Syscall.t) -> fill (Array.make (List.length c.args) Vma) c.args)
+    calls
 
 let compile_located ?(name = "sim") ldecls =
   let flagsets = Hashtbl.create 64 in
@@ -193,7 +334,7 @@ let compile_located ?(name = "sim") ldecls =
       in
       record `Resource name line;
       add_unique resources "resource" name
-        { parent = parent_res; special = Array.of_list values }
+        ({ parent = parent_res; special = Array.of_list values } : resource_info)
     | Parser.Flagset { name; values } ->
       record `Flags name line;
       add_unique flagsets "flag set" name (Array.of_list values)
@@ -210,7 +351,7 @@ let compile_located ?(name = "sim") ldecls =
   List.iter collect ldecls;
   (* Resource parents must exist. *)
   Hashtbl.iter
-    (fun rname { parent; _ } ->
+    (fun rname ({ parent; _ } : resource_info) ->
       match parent with
       | Some p when not (Hashtbl.mem resources p) ->
         error "resource %s: unknown parent %s" rname p
@@ -252,76 +393,41 @@ let compile_located ?(name = "sim") ldecls =
       if Hashtbl.mem by_name c.name then error "duplicate syscall %s" c.name;
       Hashtbl.add by_name c.name c)
     calls;
-  let t =
-    {
-      tname = name;
-      calls;
-      by_name;
-      flagsets;
-      structs = structs';
-      unions = unions';
-      resources;
-      produced = Array.make (Array.length calls) [];
-      consumed = Array.make (Array.length calls) [];
-      kinds = sorted_keys resources;
-      producer_masks = Hashtbl.create 64;
-      producers = Hashtbl.create 64;
-      consumers = Hashtbl.create 64;
-      positions;
-    }
-  in
+  (* From here on, only the resolved layouts. *)
+  let structs = structs' and unions = unions' in
   (* Pass 3: validate types now that every table is final. *)
-  Array.iter
-    (fun (c : Syscall.t) ->
-      List.iter (fun (f : Field.t) -> validate_ty ~where:c.name t f.fty) c.args)
-    calls;
-  Hashtbl.iter
-    (fun sname fields ->
-      List.iter
-        (fun (f : Field.t) -> validate_ty ~where:("struct " ^ sname) t f.fty)
-        fields)
-    structs';
-  Hashtbl.iter
-    (fun uname fields ->
-      List.iter
-        (fun (f : Field.t) -> validate_ty ~where:("union " ^ uname) t f.fty)
-        fields)
-    unions';
+  let validate ~where (fields : Field.t list) =
+    List.iter
+      (fun (f : Field.t) ->
+        validate_ty ~where ~flagsets ~structs ~unions ~resources f.fty)
+      fields
+  in
+  Array.iter (fun (c : Syscall.t) -> validate ~where:c.name c.args) calls;
+  Hashtbl.iter (fun sname fields -> validate ~where:("struct " ^ sname) fields) structs;
+  Hashtbl.iter (fun uname fields -> validate ~where:("union " ^ uname) fields) unions;
   (* Pass 4: produce/consume indices, inheritance-aware. *)
-  Array.iter
-    (fun (c : Syscall.t) ->
-      t.produced.(c.id) <- compute_produced t c;
-      t.consumed.(c.id) <- compute_consumed t c)
+  let produced = Array.map (compute_produced ~structs ~unions) calls in
+  let consumed = Array.map (compute_consumed ~structs ~unions) calls in
+  let records = build_records ~resources ~calls ~produced ~consumed in
+  let records_of kinds = Array.of_list (List.map (Hashtbl.find records) kinds) in
+  (* Pass 5: the generation plan. *)
+  let arg_nodes = build_plan ~flagsets ~structs ~unions ~records calls in
+  {
+    tname = name;
     calls;
-  (* A call produces for consumer kind [k] when one of its produced
-     kinds is [k] or inherits from it: walk each produced kind's
-     (acyclic, checked above) parent chain once, marking every
-     ancestor. *)
-  List.iter
-    (fun kind -> Hashtbl.add t.producer_masks kind (Array.make (Array.length calls) false))
-    t.kinds;
-  Array.iter
-    (fun (c : Syscall.t) ->
-      let rec mark kind =
-        (Hashtbl.find t.producer_masks kind).(c.id) <- true;
-        match Hashtbl.find resources kind with
-        | { parent = Some p; _ } -> mark p
-        | { parent = None; _ } -> ()
-      in
-      List.iter mark t.produced.(c.id))
-    calls;
-  List.iter
-    (fun kind ->
-      let mask = Hashtbl.find t.producer_masks kind in
-      let consumes_compatible (c : Syscall.t) =
-        List.exists (fun cns -> compatible t ~consumer:cns ~producer:kind) t.consumed.(c.id)
-      in
-      Hashtbl.add t.producers kind
-        (List.filter (fun (c : Syscall.t) -> mask.(c.id)) (Array.to_list calls));
-      Hashtbl.add t.consumers kind
-        (List.filter consumes_compatible (Array.to_list calls)))
-    t.kinds;
-  t
+    by_name;
+    flagsets;
+    structs;
+    unions;
+    resources = records;
+    sorted_resources = records_of (sorted_keys resources);
+    produced;
+    consumed;
+    kinds = sorted_keys resources;
+    arg_nodes;
+    consumed_records = Array.map records_of consumed;
+    positions;
+  }
 
 let compile ?name decls =
   compile_located ?name (List.map (fun d -> (d, 0)) decls)
@@ -363,33 +469,21 @@ let struct_names t = sorted_keys t.structs
 let union_names t = sorted_keys t.unions
 let flagset_names t = sorted_keys t.flagsets
 
-let resource_parent t kind =
+let resource t kind =
   match Hashtbl.find_opt t.resources kind with
-  | Some { parent; _ } -> parent
+  | Some r -> r
   | None -> error "unknown resource %s" kind
 
-let resource_special_values t kind =
-  match Hashtbl.find_opt t.resources kind with
-  | Some { special; _ } -> special
-  | None -> error "unknown resource %s" kind
-
+let resources t = t.sorted_resources
+let resource_parent t kind = (resource t kind).parent
+let resource_special_values t kind = (resource t kind).special
 let produces t (c : Syscall.t) = t.produced.(c.id)
 let consumes t (c : Syscall.t) = t.consumed.(c.id)
-
-let producers_of t kind =
-  match Hashtbl.find_opt t.producers kind with
-  | Some cs -> cs
-  | None -> error "unknown resource %s" kind
-
-let producer_mask t kind =
-  match Hashtbl.find_opt t.producer_masks kind with
-  | Some m -> m
-  | None -> error "unknown resource %s" kind
-
-let consumers_of t kind =
-  match Hashtbl.find_opt t.consumers kind with
-  | Some cs -> cs
-  | None -> error "unknown resource %s" kind
+let producers_of t kind = Array.to_list (resource t kind).producers
+let producer_mask t kind = (resource t kind).mask
+let consumers_of t kind = Array.to_list (resource t kind).consumers
+let arg_nodes t (c : Syscall.t) = t.arg_nodes.(c.id)
+let consumed_resources t (c : Syscall.t) = t.consumed_records.(c.id)
 
 (* Collect every type node reachable from a call's arguments. Each
    struct/union body is entered once per traversal, so self-referential
@@ -441,14 +535,7 @@ let lint t =
       (* A kind counts as produced when anything produces it or a
          subkind a consumer would accept in its place. *)
       let produced = Array.exists Fun.id (producer_mask t kind) in
-      let consumed =
-        Array.exists
-          (fun (c : Syscall.t) ->
-            List.exists
-              (fun cns -> compatible t ~consumer:cns ~producer:kind)
-              t.consumed.(c.id))
-          t.calls
-      in
+      let consumed = Array.length (resource t kind).consumers > 0 in
       if not produced then warn "resource %s has no producer" kind;
       if not consumed then warn "resource %s has no consumer" kind)
     t.kinds;

@@ -4,9 +4,74 @@
     union), validates flag-set / length-field / resource references,
     checks resource inheritance for cycles, assigns dense syscall ids and
     precomputes producer/consumer indices used by static relation
-    learning and by sequence generation. *)
+    learning and by sequence generation.
+
+    It also compiles the generation plan: one {!resource} record per
+    resource kind and one {!node} per syscall argument, with every name
+    already resolved. Generation ({!Healer_core.Value_gen}, [Builder],
+    [Gen], [Mutate]) reads only the plan; the name-keyed lookups below
+    serve the analysis passes. The plan is immutable once {!compile}
+    returns, so parallel campaigns share one target. *)
 
 type t
+
+(** {2 Generation plan} *)
+
+type resource = private {
+  kind : string;
+  parent : string option;
+      (** Parent kind, or [None] if the parent is a builtin integer. *)
+  special : int64 array;  (** {!resource_special_values}. *)
+  mask : bool array;
+      (** Indexed by syscall id: the call produces [kind] or a kind
+          inheriting from it ({!producer_mask}). Do not mutate it. *)
+  producers : Syscall.t array;
+      (** The calls [mask] selects, in id order ({!producers_of}). *)
+  consumers : Syscall.t array;
+      (** The calls consuming [kind] or one of its ancestors, in id
+          order ({!consumers_of}). *)
+}
+(** One record per resource kind, built once by {!compile}. *)
+
+type node = private
+  | Int of { bits : int; range : (int64 * int64) option }
+  | Const of int64
+  | Flags of int64 array  (** The flag set's values. *)
+  | Len of int
+      (** Index of the first sibling the length names, among the
+          fields of the enclosing call, struct or union; [-1] when no
+          sibling has that name, or when the length is nested below a
+          field (such a length is never resolved). *)
+  | Proc of { start : int64; step : int64 }
+  | Res of resource
+  | Ptr of node
+  | Buffer
+  | Str of string array  (** Candidate literals. *)
+  | Filename of string array
+  | Array of { elem : node; min_len : int; max_len : int }
+  | Struct of node array
+  | Union of node array
+  | Vma
+(** A {!Ty.t} with its names resolved. All references to one struct or
+    union share that layout's field array, so a layout that reaches
+    itself through a pointer is a cycle in the plan, not an unbounded
+    tree: walk it only as deep as the generated value goes. *)
+
+val arg_nodes : t -> Syscall.t -> node array
+(** The plan of the call's arguments, in order (an array read by id). *)
+
+val consumed_resources : t -> Syscall.t -> resource array
+(** The records of {!consumes}, in the same (name) order. *)
+
+val resources : t -> resource array
+(** Every resource record, sorted by kind name ({!resource_kinds}'
+    order). *)
+
+val resource : t -> string -> resource
+(** The record of a kind. Raises {!Compile_error} for an unknown
+    kind. *)
+
+(** {2 Compilation and lookup} *)
 
 exception Compile_error of string
 

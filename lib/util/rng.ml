@@ -1,4 +1,10 @@
-type t = { mutable state : int64 }
+(* The state is 8 bytes, read and written as an unboxed int64: a
+   mutable [int64] field would box every new state, one allocation and
+   one write barrier per draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -8,20 +14,24 @@ let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let split t = { state = bits64 t }
-let copy t = { state = t.state }
+let[@inline] bits64 t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
+
+let split t = of_state (bits64 t)
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (bits64 t) mask) in
-  v mod bound
+  Int64.to_int (Int64.logand (bits64 t) (Int64.of_int max_int)) mod bound
 
 let int_in t lo hi =
   if lo > hi then invalid_arg "Rng.int_in: lo > hi";
@@ -32,9 +42,11 @@ let int64 t bound =
   let v = Int64.logand (bits64 t) Int64.max_int in
   Int64.rem v bound
 
-let float t bound =
-  let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  bound *. (v /. 9007199254740992.0 (* 2^53 *))
+(* A uniform float in [0, 1): the top 53 bits over 2^53. *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) /. 9007199254740992.0
+
+let float t bound = bound *. unit_float t
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
@@ -44,8 +56,8 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
    [mix64 (s + (i+1)*gamma)]: a pure function of [s] and [i]. *)
 let skip t n =
   if n < 0 then invalid_arg "Rng.skip: negative count";
-  let s = t.state in
-  t.state <- Int64.add s (Int64.mul (Int64.of_int n) golden_gamma);
+  let s = get_state t 0 in
+  set_state t 0 (Int64.add s (Int64.mul (Int64.of_int n) golden_gamma));
   s
 
 let stream_byte s i =
@@ -64,10 +76,12 @@ let blit_stream s i dst off n =
     Bytes.unsafe_set dst k (Char.unsafe_chr (Int64.to_int (mix64 !st) land 0xff))
   done
 
+(* [unit_float] is [float t 1.0] exactly (a product by 1.0 is exact),
+   compared without boxing it. *)
 let chance t p =
   if p <= 0.0 then false
   else if p >= 1.0 then true
-  else float t 1.0 < p
+  else unit_float t < p
 
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"

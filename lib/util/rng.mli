@@ -3,7 +3,10 @@
     Every stochastic decision in the fuzzer flows through a value of type
     {!t} so that campaigns are reproducible from a single integer seed.
     The implementation is SplitMix64, which is fast, has a 64-bit state,
-    and supports cheap splitting for independent sub-streams. *)
+    and supports cheap splitting for independent sub-streams. The state
+    lives in 8 bytes read and written as an unboxed [int64], so a draw
+    allocates nothing: {!bits64} boxes only its result, and {!int},
+    {!chance} and {!pick_arr} allocate 0 words. *)
 
 type t
 
@@ -63,7 +66,8 @@ val pick : t -> 'a list -> 'a
 (** Uniform choice. Raises [Invalid_argument] on the empty list. *)
 
 val pick_arr : t -> 'a array -> 'a
-(** Uniform choice. Raises [Invalid_argument] on the empty array. *)
+(** Uniform choice. Raises [Invalid_argument] on the empty array.
+    Makes the same draw as {!pick} on the equivalent list. *)
 
 val weighted : t -> ('a * int) list -> 'a
 (** [weighted t choices] picks proportionally to the (positive) weights.

@@ -30,6 +30,7 @@ let () =
       ("kernel-netlink", Test_kernel_netlink.suite);
       ("learning", Test_learning.suite);
       ("genmut", Test_genmut.suite);
+      ("genplan", Test_genplan.suite);
       ("baselines", Test_baselines.suite);
       ("triage-fuzzer", Test_triage_fuzzer.suite);
       ("progcheck", Test_progcheck.suite);

@@ -116,7 +116,7 @@ let test_convert_generates_fuzzable_target () =
   let target = Target.of_string src in
   (* Value generation must handle every generated call. *)
   let rng = rng () in
-  let ctx = { Healer_core.Value_gen.target; producers = (fun _ -> []) } in
+  let ctx = { Healer_core.Value_gen.target; producers = (fun _ -> [||]) } in
   Array.iter
     (fun (c : Syscall.t) ->
       Alcotest.(check int) ("arity of " ^ c.Syscall.name)

@@ -10,7 +10,7 @@ module Rng = Healer_util.Rng
 open Healer_core
 open Helpers
 
-let no_producers = fun _ -> []
+let no_producers = fun _ -> [||]
 let vctx ?(producers = no_producers) () = { Value_gen.target = tgt (); producers }
 
 let test_gen_args_arity =
@@ -45,7 +45,9 @@ let test_gen_len_resolved () =
 
 let test_gen_resource_wiring () =
   let rng = rng () in
-  let ctx = vctx ~producers:(fun kind -> if kind = "fd" then [ 3 ] else []) () in
+  let ctx =
+    vctx ~producers:(fun (r : Target.resource) -> if r.kind = "fd" then [| 3 |] else [||]) ()
+  in
   let c = Target.find_exn (tgt ()) "close" in
   let wired = ref 0 in
   for _ = 1 to 100 do

@@ -277,6 +277,30 @@ let check_indexes t =
               mask.(c.Syscall.id))
         (Target.syscalls t))
     (Target.resource_kinds t);
+  (* Consumers come from a walk down each consumed kind's descendants:
+     they must be the calls the inheritance predicate accepts, in id
+     order, and the record must agree with the name-keyed answers. *)
+  let names cs = List.map (fun (c : Syscall.t) -> c.Syscall.name) cs in
+  List.iter
+    (fun kind ->
+      let expected =
+        List.filter
+          (fun (c : Syscall.t) ->
+            List.exists
+              (fun cns -> Target.compatible t ~consumer:cns ~producer:kind)
+              (Target.consumes t c))
+          (Array.to_list (Target.syscalls t))
+      in
+      Alcotest.(check (list string)) ("consumers_of " ^ kind) (names expected)
+        (names (Target.consumers_of t kind));
+      let r = Target.resource t kind in
+      Alcotest.(check (list string)) ("record producers " ^ kind)
+        (names (Target.producers_of t kind))
+        (names (Array.to_list r.producers));
+      Alcotest.(check bool) ("record mask " ^ kind) true (r.mask == Target.producer_mask t kind))
+    (Target.resource_kinds t);
+  Alcotest.(check (list string)) "resources in resource_kinds order" (Target.resource_kinds t)
+    (Array.to_list (Array.map (fun (r : Target.resource) -> r.kind) (Target.resources t)));
   match Target.producer_mask t "no_such_kind" with
   | exception Target.Compile_error _ -> ()
   | _ -> Alcotest.fail "unknown kind must raise Compile_error"
