@@ -890,6 +890,38 @@ let shard_results : (int * float * int * int * int * int * int) list ref =
 let shard_comms_stats : (int * int * int * int) option ref = ref None
 (* (full-state bytes, incremental bytes, and both for the last epoch) *)
 
+(* (epoch, base corpus size, minor words, direct-major words) of one
+   Worker.run_epoch. *)
+let worker_epoch_words : (int * int * float * float) option ref = ref None
+
+(* Shard 0's last epoch on the lag-2 front the schedule gives it:
+   exact minor and direct-major words of the second of two runs, each
+   gated at +10% over the committed row. Ingesting the base corpus and
+   harvesting the outcome are what a serve worker repeats every epoch.
+   Validation is off, so the counts are the production path's. *)
+let worker_epoch_smoke cfg ~epoch base =
+  let module S = Healer_service in
+  let run () = ignore (Sys.opaque_identity (S.Worker.run_epoch cfg ~shard:0 ~epoch base)) in
+  let debug = Healer_executor.Progcheck.debug_enabled () in
+  Healer_executor.Progcheck.set_debug false;
+  let minor, direct =
+    Fun.protect
+      ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
+      (fun () ->
+        run ();
+        let m0 = Gc.minor_words () and d0 = direct_major () in
+        run ();
+        (Gc.minor_words () -. m0, direct_major () -. d0))
+  in
+  let corpus = List.length base.S.Shard_state.corpus in
+  Fmt.pr "@.  one worker epoch (shard 0, epoch %d, base corpus %d)@." epoch corpus;
+  Fmt.pr "  %-30s %12.0f@." "minor words" minor;
+  Fmt.pr "  %-30s %12.0f@." "direct-major words" direct;
+  worker_epoch_words := Some (epoch, corpus, minor, direct);
+  gate_words ~what:"worker epoch minor words" minor [ "worker_epoch"; "minor_words" ];
+  gate_words ~what:"worker epoch direct-major words" direct
+    [ "worker_epoch"; "direct_major_words" ]
+
 let shard_comms () =
   let module S = Healer_service in
   let epochs = 8 and jobs = 2 in
@@ -915,6 +947,7 @@ let shard_comms () =
   in
   let fronts = Array.of_list (List.rev !fronts) in
   let initial = (S.Coordinator.initial cfg).S.Checkpoint.state in
+  worker_epoch_smoke cfg ~epoch:(epochs - 1) fronts.(epochs - 3);
   let full_epoch e =
     let base = if e >= 2 then fronts.(e - 2) else initial in
     let bcast = String.length (S.Shard_state.to_string base) + 8 in
@@ -971,7 +1004,9 @@ let shard_comms () =
    immediately visible: same jobs, same digest, always. Scaling rows
    run the in-process oracle (deterministic timing); the comms rows
    fork real workers, which is why this section runs before the
-   prefetch pool spawns domains (fork is unsafe afterwards). *)
+   prefetch pool spawns domains: on OCaml 5.1, Unix.fork raises
+   Failure once any domain has been spawned, even after it was
+   joined. *)
 let shard_smoke () =
   section "Sharded campaign scaling (serve)";
   let module S = Healer_service in
@@ -1259,6 +1294,13 @@ let write_json ~jobs ~section_times () =
   | Some (minor, direct) ->
     field "\"target\": {\"minor_words\": %.0f, \"direct_major_words\": %.0f}" minor direct
   | None -> field "\"target\": null");
+  (match !worker_epoch_words with
+  | Some (epoch, corpus, minor, direct) ->
+    field
+      "\"worker_epoch\": {\"shard\": 0, \"epoch\": %d, \"base_corpus\": %d, \
+       \"minor_words\": %.0f, \"direct_major_words\": %.0f}"
+      epoch corpus minor direct
+  | None -> field "\"worker_epoch\": null");
   (match !exec_words with
   | Some (programs, boot, run) ->
     field "\"exec_words\": {\"programs\": %d, \"boot\": %.1f, \"run\": %.1f}"
@@ -1294,9 +1336,10 @@ let () =
       Fmt.epr "unknown section %s (available: %s)@." name
         (String.concat ", " (List.map fst sections))
   in
-  (* The shard section forks real worker processes, and Unix.fork is
-     unsafe once the prefetch pool has spawned domains — so it (and
-     the tiny wire micro) runs first. *)
+  (* The shard section forks real worker processes, and Unix.fork
+     raises Failure once the prefetch pool has spawned a domain, even
+     after the pool is shut down — so it (and the tiny wire micro)
+     runs first. *)
   let fork_first, pooled =
     List.partition (fun n -> n = "shard" || n = "wire") requested
   in

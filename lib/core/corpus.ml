@@ -1,8 +1,14 @@
 module Rng = Healer_util.Rng
 module Prog = Healer_executor.Prog
 module Serializer = Healer_executor.Serializer
+module Progcheck = Healer_executor.Progcheck
 
-type entry = { prog : Prog.t; weight : int }
+(* Dedup on a 16-byte digest of the canonical encoding instead of
+   retaining the whole encoded string. Each entry keeps its key (the
+   string the dedup table holds), so readers never re-encode. *)
+type entry = { prog : Prog.t; key : string; weight : int }
+
+let key p = Digest.string (Serializer.encode p)
 
 type t = {
   target : Healer_syzlang.Target.t;
@@ -12,7 +18,7 @@ type t = {
 }
 
 let create target =
-  { target; entries = Array.make 64 { prog = Prog.empty; weight = 0 }; count = 0;
+  { target; entries = Array.make 64 { prog = Prog.empty; key = ""; weight = 0 }; count = 0;
     keys = Hashtbl.create 256 }
 
 let grow t =
@@ -22,17 +28,22 @@ let grow t =
     t.entries <- bigger
   end
 
-let add t prog ~new_blocks =
+let add ?key:known t prog ~new_blocks =
   if Prog.length prog = 0 then false
   else begin
-    (* Dedup on a 16-byte digest of the canonical encoding instead of
-       retaining the whole encoded string per entry. *)
-    let key = Digest.string (Serializer.encode prog) in
+    let key =
+      match known with
+      | None -> key prog
+      | Some k ->
+        if Progcheck.debug_enabled () && not (String.equal k (key prog)) then
+          invalid_arg "Corpus.add: the key is not the program's";
+        k
+    in
     if Hashtbl.mem t.keys key then false
     else begin
       Hashtbl.add t.keys key ();
       grow t;
-      t.entries.(t.count) <- { prog; weight = max 1 new_blocks };
+      t.entries.(t.count) <- { prog; key; weight = max 1 new_blocks };
       t.count <- t.count + 1;
       true
     end
@@ -45,7 +56,7 @@ let merge_into ~dst src =
   let fresh = ref 0 in
   for i = 0 to src.count - 1 do
     let e = src.entries.(i) in
-    if add dst e.prog ~new_blocks:e.weight then incr fresh
+    if add ~key:e.key dst e.prog ~new_blocks:e.weight then incr fresh
   done;
   !fresh
 
@@ -86,4 +97,10 @@ let frac_len_at_least t n =
 let iter f t =
   for i = 0 to t.count - 1 do
     f t.entries.(i).prog
+  done
+
+let iter_keyed f t =
+  for i = 0 to t.count - 1 do
+    let e = t.entries.(i) in
+    f e.key e.prog
   done

@@ -131,6 +131,15 @@ let exec_plain t prog = exec_prog t prog
    reproducers) go through the pool's prefix cache. *)
 let exec_probe t prog = charge t prog (Pool.run_probe t.pool prog)
 
+let ingest t ?key seed =
+  let r = exec_plain t seed in
+  let new_cov = Feedback.process t.feedback r in
+  if r.Exec.crash = None && Feedback.is_interesting new_cov then begin
+    let total_new = Array.fold_left (fun a l -> a + List.length l) 0 new_cov in
+    if Corpus.add ?key t.corp seed ~new_blocks:total_new then
+      Option.iter (fun ct -> Choice_table.note_corpus_program ct seed) t.choice
+  end
+
 let create ?initial_relations ?(initial_seeds = []) cfg =
   let tgt = Kernel.target () in
   let rng = Rng.create cfg.seed in
@@ -187,19 +196,8 @@ let create ?initial_relations ?(initial_seeds = []) cfg =
   | _ -> ());
   (* Seed ingestion: Moonshine's distilled corpus, plus any caller
      provided programs (e.g. a corpus archive from a prior campaign). *)
-  let seeds =
-    (if cfg.tool = Moonshine then Seeds.distilled tgt else []) @ initial_seeds
-  in
-  List.iter
-    (fun seed ->
-      let r = exec_plain t seed in
-      let new_cov = Feedback.process t.feedback r in
-      if r.Exec.crash = None && Feedback.is_interesting new_cov then begin
-        let total_new = Array.fold_left (fun a l -> a + List.length l) 0 new_cov in
-        if Corpus.add t.corp seed ~new_blocks:total_new then
-          Option.iter (fun ct -> Choice_table.note_corpus_program ct seed) t.choice
-      end)
-    seeds;
+  if cfg.tool = Moonshine then List.iter (ingest t) (Seeds.distilled tgt);
+  List.iter (ingest t) initial_seeds;
   t
 
 let rec last_opt = function

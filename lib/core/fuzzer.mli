@@ -78,6 +78,13 @@ val create :
     (the original tool's [-r] flag); [initial_seeds] are executed and
     ingested before fuzzing starts for any tool. *)
 
+val ingest : t -> ?key:string -> Healer_executor.Prog.t -> unit
+(** Execute one seed program and add it to the corpus if it covers new
+    branches without crashing: the step [create] runs on each of its
+    seeds, so [create ~initial_seeds:ps] equals [create] followed by
+    [ingest] on each of [ps] in order. [key], when the caller holds
+    it, is the program's {!Corpus.key} and spares re-encoding it. *)
+
 val step : t -> unit
 (** One fuzzing iteration: build a test case, execute it, process
     feedback, minimize / learn / triage as applicable. *)

@@ -17,20 +17,17 @@ let run_epoch (cfg : Checkpoint.config) ~shard ~epoch (g : Shard_state.t) =
   let initial_relations =
     if Relation_table.count g.relations > 0 then Some g.relations else None
   in
-  let f =
-    Fuzzer.create ?initial_relations
-      ~initial_seeds:(List.map snd g.corpus)
-      fuzzer_cfg
-  in
+  let f = Fuzzer.create ?initial_relations fuzzer_cfg in
+  (* The base's keys ride along, so no program is encoded here: an
+     epoch re-keys only what it adds to the corpus. *)
+  List.iter (fun (key, p) -> Fuzzer.ingest f ~key p) g.corpus;
   Fuzzer.run_until f cfg.slice;
   (* Workers fuzz a [0, slice) virtual clock each epoch; offset crash
      times so first_found is campaign-global and the earliest-wins
      merge rule compares like with like. *)
   let epoch_start = float_of_int epoch *. cfg.slice in
   let corpus = ref [] in
-  Corpus.iter
-    (fun p -> corpus := (Shard_state.corpus_key p, p) :: !corpus)
-    (Fuzzer.corpus f);
+  Corpus.iter_keyed (fun key p -> corpus := (key, p) :: !corpus) (Fuzzer.corpus f);
   let relations =
     match Fuzzer.relations f with
     | Some r -> Relation_table.copy r

@@ -222,6 +222,30 @@ let test_corpus_dedup () =
   Alcotest.(check bool) "empty rejected" false (Corpus.add c Prog.empty ~new_blocks:1);
   Alcotest.(check int) "size" 1 (Corpus.size c)
 
+(* A caller-held key stands in for re-encoding the program; under
+   validation a key that is not the program's is a caller bug. *)
+let test_corpus_keys () =
+  let c = Corpus.create (tgt ()) in
+  let p = prog [ call "socket$tcp" [ i 2L; i 1L; i 6L ] ] in
+  let q = prog [ call "socket$udp" [ i 2L; i 2L; i 17L ] ] in
+  let key = Corpus.key p in
+  Alcotest.(check bool) "keyed add" true (Corpus.add ~key c p ~new_blocks:1);
+  Alcotest.(check bool) "re-add under its own key" false (Corpus.add ~key c p ~new_blocks:1);
+  Alcotest.(check bool) "re-add unkeyed" false (Corpus.add c p ~new_blocks:1);
+  let debug = Healer_executor.Progcheck.debug_enabled () in
+  Fun.protect ~finally:(fun () -> Healer_executor.Progcheck.set_debug debug)
+  @@ fun () ->
+  Healer_executor.Progcheck.set_debug true;
+  (match Corpus.add ~key c q ~new_blocks:1 with
+  | _ -> Alcotest.fail "accepted another program's key"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check bool) "unkeyed add" true (Corpus.add c q ~new_blocks:1);
+  let keys = ref [] in
+  Corpus.iter_keyed (fun k p -> keys := (k, Corpus.key p) :: !keys) c;
+  Alcotest.(check (list (pair string string))) "stored keys, in insertion order"
+    [ (key, key); (Corpus.key q, Corpus.key q) ]
+    (List.rev !keys)
+
 let test_corpus_pick_and_histogram () =
   let c = Corpus.create (tgt ()) in
   Alcotest.(check (option unit)) "empty pick" None
@@ -264,5 +288,6 @@ let suite =
     case "generation skips the major heap" test_generation_no_direct_major;
     case "golden 1h campaign" test_golden_campaign;
     case "corpus dedup" test_corpus_dedup;
+    case "corpus keys" test_corpus_keys;
     case "corpus pick/histogram" test_corpus_pick_and_histogram;
   ]

@@ -334,6 +334,76 @@ let test_delta_roundtrip () =
   Alcotest.(check bool) "outcome" true
     (eq d.S.Shard_state.outcome d'.S.Shard_state.outcome)
 
+(* The sequential oracle's fronts: F(e) after epoch e, so epoch e runs
+   on [lag2 fronts e], F(e-2) or the empty state. *)
+let oracle_fronts cfg =
+  let fronts = ref [] in
+  ignore
+    (S.Coordinator.run ~forked:false
+       ~on_epoch:(fun p -> fronts := p.S.Coordinator.state :: !fronts)
+       (S.Coordinator.initial cfg));
+  Array.of_list (List.rev !fronts)
+
+let lag2 fronts e = if e >= 2 then fronts.(e - 2) else S.Shard_state.of_target (tgt ())
+
+(* A worker carries each corpus key instead of recomputing it: every
+   key it reports must still be the program's. *)
+let test_epoch_keys () =
+  let cfg = small_cfg ~epochs:4 () in
+  let fronts = oracle_fronts cfg in
+  for epoch = 0 to cfg.S.Checkpoint.epochs - 1 do
+    for shard = 0 to cfg.S.Checkpoint.jobs - 1 do
+      let d = S.Worker.run_epoch cfg ~shard ~epoch (lag2 fronts epoch) in
+      List.iter
+        (fun (k, p) ->
+          Alcotest.(check string)
+            (Printf.sprintf "shard %d epoch %d key" shard epoch)
+            (S.Shard_state.corpus_key p) k)
+        d.S.Shard_state.outcome.S.Shard_state.corpus
+    done
+  done
+
+(* What a fuzzer is made of, in the orders it holds them. *)
+let fuzzer_summary f =
+  let keys = ref [] in
+  Corpus.iter_keyed (fun k _ -> keys := k :: !keys) (Fuzzer.corpus f);
+  ( (Fuzzer.execs f, Fuzzer.coverage f, Fuzzer.relation_count f),
+    List.rev !keys,
+    List.map (fun (r : Triage.record) -> r.Triage.bug_key) (Triage.records (Fuzzer.triage f)) )
+
+(* Ingesting a front's keyed corpus one program at a time is the
+   fuzzer [~initial_seeds] builds, before and after a slice of fuzzing
+   — also for Moonshine, whose distilled seeds come first. *)
+let test_keyed_ingest_equals_initial_seeds () =
+  let cfg = small_cfg ~epochs:3 () in
+  let front = (oracle_fronts cfg).(2) in
+  Alcotest.(check bool) "front has a corpus" true (front.S.Shard_state.corpus <> []);
+  List.iter
+    (fun tool ->
+      let fcfg = Fuzzer.config ~seed:11 ~tool ~version:K.Version.V5_11 () in
+      let initial_relations = front.S.Shard_state.relations in
+      let seeded =
+        Fuzzer.create ~initial_relations
+          ~initial_seeds:(List.map snd front.S.Shard_state.corpus)
+          fcfg
+      in
+      let keyed = Fuzzer.create ~initial_relations fcfg in
+      List.iter (fun (key, p) -> Fuzzer.ingest keyed ~key p) front.S.Shard_state.corpus;
+      let same what =
+        let ((execs, cov, rels), keys, crashes) = fuzzer_summary seeded in
+        let ((execs', cov', rels'), keys', crashes') = fuzzer_summary keyed in
+        let name s = Printf.sprintf "%s %s: %s" (Fuzzer.tool_name tool) what s in
+        Alcotest.(check (list int)) (name "execs, coverage, relations")
+          [ execs; cov; rels ] [ execs'; cov'; rels' ];
+        Alcotest.(check (list string)) (name "corpus keys") keys keys';
+        Alcotest.(check (list string)) (name "crash keys") crashes crashes'
+      in
+      same "ingested";
+      Fuzzer.run_until seeded 60.0;
+      Fuzzer.run_until keyed 60.0;
+      same "after a slice")
+    [ Fuzzer.Healer; Fuzzer.Moonshine ]
+
 (* ---- coordinator ---- *)
 
 let rec rm_rf path =
@@ -504,6 +574,8 @@ let suite =
       case "worker epoch is deterministic" test_worker_deterministic;
       case "delta fold order is irrelevant" test_fold_order_irrelevant;
       case "delta roundtrip" test_delta_roundtrip;
+      case "worker keys are the programs' keys" test_epoch_keys;
+      case "keyed ingestion == initial seeds" test_keyed_ingest_equals_initial_seeds;
       case "forked == sequential" test_forked_equals_sequential;
       case "interrupted + resumed == uninterrupted" test_interrupted_resume;
       case "worker death: respawn, same results" test_worker_death_respawn;
