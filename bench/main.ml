@@ -894,13 +894,45 @@ let shard_comms_stats : (int * int * int * int) option ref = ref None
    Worker.run_epoch. *)
 let worker_epoch_words : (int * int * float * float) option ref = ref None
 
+(* The in-process oracle's outcome for [cfg] and the front it closed
+   at each epoch, in order. *)
+let oracle_fronts cfg =
+  let module S = Healer_service in
+  let fronts = ref [] in
+  let out =
+    S.Coordinator.run ~forked:false
+      ~on_epoch:(fun p -> fronts := p.S.Coordinator.state :: !fronts)
+      (S.Coordinator.initial cfg)
+  in
+  (out, Array.of_list (List.rev !fronts))
+
+(* The serve run behind the worker-epoch row: 2 shards, 8 epochs of
+   0.05 virtual hours in all (the @bench-smoke budget), whatever
+   HEALER_BENCH_HOURS says. An epoch's words grow with its slice and
+   its base corpus, so a row taken at the bench's budget could only be
+   gated against a snapshot of that same budget. *)
+let worker_epoch_hours = 0.05
+
 (* Shard 0's last epoch on the lag-2 front the schedule gives it:
    exact minor and direct-major words of the second of two runs, each
    gated at +10% over the committed row. Ingesting the base corpus and
    harvesting the outcome are what a serve worker repeats every epoch.
    Validation is off, so the counts are the production path's. *)
-let worker_epoch_smoke cfg ~epoch base =
+let worker_epoch_smoke () =
   let module S = Healer_service in
+  let epochs = 8 in
+  let cfg =
+    {
+      S.Checkpoint.tool = Fuzzer.Healer;
+      version = K.Version.V5_11;
+      jobs = 2;
+      base_seed = 1;
+      epochs;
+      slice = worker_epoch_hours *. 3600.0 /. float_of_int epochs;
+    }
+  in
+  let epoch = epochs - 1 in
+  let base = (snd (oracle_fronts cfg)).(epoch - 2) in
   let run () = ignore (Sys.opaque_identity (S.Worker.run_epoch cfg ~shard:0 ~epoch base)) in
   let debug = Healer_executor.Progcheck.debug_enabled () in
   Healer_executor.Progcheck.set_debug false;
@@ -914,7 +946,8 @@ let worker_epoch_smoke cfg ~epoch base =
         (Gc.minor_words () -. m0, direct_major () -. d0))
   in
   let corpus = List.length base.S.Shard_state.corpus in
-  Fmt.pr "@.  one worker epoch (shard 0, epoch %d, base corpus %d)@." epoch corpus;
+  Fmt.pr "@.  one worker epoch (%g virtual hours, shard 0, epoch %d, base corpus %d)@."
+    worker_epoch_hours epoch corpus;
   Fmt.pr "  %-30s %12.0f@." "minor words" minor;
   Fmt.pr "  %-30s %12.0f@." "direct-major words" direct;
   worker_epoch_words := Some (epoch, corpus, minor, direct);
@@ -939,15 +972,8 @@ let shard_comms () =
      header (counted as 8 bytes) and gets back the shard's whole
      outcome, i.e. its delta merged into F(e-2). The oracle's fronts
      give F(e-2) without forking. *)
-  let fronts = ref [] in
-  let oracle =
-    S.Coordinator.run ~forked:false
-      ~on_epoch:(fun p -> fronts := p.S.Coordinator.state :: !fronts)
-      (S.Coordinator.initial cfg)
-  in
-  let fronts = Array.of_list (List.rev !fronts) in
+  let oracle, fronts = oracle_fronts cfg in
   let initial = (S.Coordinator.initial cfg).S.Checkpoint.state in
-  worker_epoch_smoke cfg ~epoch:(epochs - 1) fronts.(epochs - 3);
   let full_epoch e =
     let base = if e >= 2 then fronts.(e - 2) else initial in
     let bcast = String.length (S.Shard_state.to_string base) + 8 in
@@ -1040,6 +1066,7 @@ let shard_smoke () =
       shard_results :=
         (jobs, dt, execs, cov, corp, edges, crashes) :: !shard_results)
     [ 1; 2; 4 ];
+  worker_epoch_smoke ();
   shard_comms ()
 
 (* ---- wire endpoint micro-benchmark ---- *)
@@ -1297,9 +1324,9 @@ let write_json ~jobs ~section_times () =
   (match !worker_epoch_words with
   | Some (epoch, corpus, minor, direct) ->
     field
-      "\"worker_epoch\": {\"shard\": 0, \"epoch\": %d, \"base_corpus\": %d, \
-       \"minor_words\": %.0f, \"direct_major_words\": %.0f}"
-      epoch corpus minor direct
+      "\"worker_epoch\": {\"hours\": %g, \"shard\": 0, \"epoch\": %d, \
+       \"base_corpus\": %d, \"minor_words\": %.0f, \"direct_major_words\": %.0f}"
+      worker_epoch_hours epoch corpus minor direct
   | None -> field "\"worker_epoch\": null");
   (match !exec_words with
   | Some (programs, boot, run) ->

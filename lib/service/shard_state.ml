@@ -7,6 +7,7 @@ module Coverage = Healer_kernel.Coverage
 module Risk = Healer_kernel.Risk
 module Relation_table = Healer_core.Relation_table
 module Triage = Healer_core.Triage
+module Corpus = Healer_core.Corpus
 
 type t = {
   n_syscalls : int;
@@ -16,11 +17,6 @@ type t = {
   crashes : Triage.record list;
   execs : (int * int) list;
 }
-
-(* Corpus entries dedup on the fuzzer corpus's key; the full
-   serialized form is recomputed only when a state crosses the wire,
-   not retained per entry in memory. *)
-let corpus_key = Healer_core.Corpus.key
 
 let empty ~n_syscalls =
   {
@@ -247,7 +243,7 @@ let read target r =
         (* Re-key on the canonical encoding in case the stored bytes
            were not (the key is the dedup unit). *)
         let prog = Codec.sub r (Serializer.read target) in
-        (corpus_key prog, prog))
+        (Corpus.key prog, prog))
   in
   let crashes = Codec.list r (get_crash target) in
   let execs =

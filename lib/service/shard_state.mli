@@ -27,17 +27,14 @@ type t = {
   relations : Healer_core.Relation_table.t;
   coverage : Healer_util.Bitset.t;
   corpus : (string * Healer_executor.Prog.t) list;
-      (** [(digest of canonical encoding, program)], sorted by key, no
-          duplicates. The full encoding is recomputed only when a
-          state crosses the wire, never retained per entry. *)
+      (** [(key, program)] pairs keyed by {!Healer_core.Corpus.key},
+          sorted by key, no duplicates. The full encoding is recomputed
+          only when a state crosses the wire, never retained per
+          entry. *)
   crashes : Healer_core.Triage.record list;  (** Sorted by signature. *)
   execs : (int * int) list;  (** [(shard, execs)] counters, sorted. *)
 }
 (** Treat values as immutable: [merge] never mutates its inputs. *)
-
-val corpus_key : Healer_executor.Prog.t -> string
-(** The corpus dedup key, {!Healer_core.Corpus.key}: a 16-byte digest
-    of the canonical encoding. *)
 
 val empty : n_syscalls:int -> t
 val of_target : Healer_syzlang.Target.t -> t

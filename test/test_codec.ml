@@ -227,7 +227,7 @@ let synthetic =
        S.Shard_state.n_syscalls = n;
        relations;
        coverage;
-       corpus = [ (S.Shard_state.corpus_key p, p) ];
+       corpus = [ (Corpus.key p, p) ];
        crashes = [ record p ];
        execs = [ (0, 120); (1, 7) ];
      })

@@ -84,7 +84,7 @@ let gen_state =
        S.Shard_state.n_syscalls = n_syscalls ();
        relations;
        coverage;
-       corpus = List.map (fun p -> (S.Shard_state.corpus_key p, p)) progs;
+       corpus = List.map (fun p -> (Corpus.key p, p)) progs;
        crashes;
        execs;
      })
@@ -358,7 +358,7 @@ let test_epoch_keys () =
         (fun (k, p) ->
           Alcotest.(check string)
             (Printf.sprintf "shard %d epoch %d key" shard epoch)
-            (S.Shard_state.corpus_key p) k)
+            (Corpus.key p) k)
         d.S.Shard_state.outcome.S.Shard_state.corpus
     done
   done
